@@ -313,9 +313,14 @@ class LaurentPolynomial:
         return self.table == other.table and self.terms == other.terms
 
     def __hash__(self):
+        # constants compare equal to their int/Fraction value, so they must
+        # hash like it; zero has no terms and hashes like 0
         h = self._hash
         if h is None:
-            h = hash((self.table, frozenset(self.terms.items())))
+            if self.is_constant():
+                h = hash(self.constant_value())
+            else:
+                h = hash((self.table, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
 and enforcing the stated runtime budget."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -175,6 +176,9 @@ def test_criterion_8_byte_identical_reports(tmp_path):
         first = paths[0].read_bytes()
         second = paths[1].read_bytes()
         assert first == second
+        assert hashlib.sha256(first).hexdigest() == (
+            "b95bf00c772bfadf3c0f0848c8dc979ef1347252f663fc342bcad5ff5d9cee5a"
+        )
         payload = json.loads(first)
         assert payload["status"] in ("pass", "attention")
 

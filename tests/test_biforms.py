@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from quadricbundles import biforms
 from quadricbundles.biforms import (
     BIFORM_TABLE,
     CURVE_TABLE,
     RST,
     BiformVector,
     CurveSpec,
+    GradedEqualityReport,
+    MonomialScaledModule,
     back_substitute,
     biform_coordinates,
     curve_coordinates,
@@ -40,6 +44,50 @@ def e(index):
     coords = [Fraction(0)] * 9
     coords[index] = Fraction(1)
     return tuple(coords)
+
+
+def brute_force_graded_intersection(window):
+    """Reference for verify_graded_intersection: compare at every monomial of
+    the window, and probe one step past its boundary in each variable."""
+    target = biforms.intersection_module()
+    mismatches = []
+    checked = 0
+    saturated = True
+    span = range(window + 1)
+    for exponents in product(span, repeat=3):
+        lhs = intersection_subspace(exponents)
+        rhs = graded_subspace(target, exponents)
+        checked += 1
+        if lhs != rhs:
+            mismatches.append((exponents, lhs, rhs))
+        for axis in range(3):
+            if exponents[axis] == window:
+                beyond = list(exponents)
+                beyond[axis] += 1
+                beyond = tuple(beyond)
+                if intersection_subspace(beyond) != lhs:
+                    saturated = False
+                if graded_subspace(target, beyond) != rhs:
+                    saturated = False
+    return GradedEqualityReport(
+        passed=not mismatches and saturated,
+        checked=checked,
+        mismatches=tuple(mismatches),
+        saturated=saturated,
+    )
+
+
+def raise_first_generator(monkeypatch, factor):
+    """Replace the free module by one whose first generator monomial is
+    multiplied by ``factor``."""
+    original = intersection_module()
+    (monomial, form), *rest = original.gens
+    raised = MonomialScaledModule(
+        name=original.name,
+        ring=original.ring,
+        gens=((monomial * parse(factor, RST), form), *rest),
+    )
+    monkeypatch.setattr(biforms, "intersection_module", lambda: raised)
 
 
 class TestBasis:
@@ -263,6 +311,42 @@ class TestGradedIntersection:
         with pytest.raises(ValueError):
             verify_graded_intersection(3)
 
+    def test_clamp_lemma(self):
+        modules = [local_module(i) for i in (1, 2, 3)] + [intersection_module()]
+        for module in modules:
+            for exponents in product(range(6), repeat=3):
+                clamped = tuple(min(x, 2) for x in exponents)
+                assert graded_subspace(module, exponents) == graded_subspace(
+                    module, clamped
+                ), (module.name, exponents)
+
+    def test_modules_are_built_once(self):
+        assert local_module(2) is local_module(2)
+        assert intersection_module() is intersection_module()
+
+    @pytest.mark.parametrize("window", [4, 5, 6])
+    def test_matches_brute_force_reference(self, window):
+        report = verify_graded_intersection(window)
+        assert report == brute_force_graded_intersection(window)
+        assert report.checked == (window + 1) ** 3
+
+    def test_raised_generator_mismatches_match_reference(self, monkeypatch):
+        raise_first_generator(monkeypatch, "r")
+        report = verify_graded_intersection(4)
+        assert report == brute_force_graded_intersection(4)
+        assert report.mismatches
+        assert not report.passed
+        assert report.saturated
+        # r^2*s^2*uvu'v' is in all three local modules but no longer in N
+        assert report.mismatches[0][0] == (2, 2, 0)
+
+    def test_bound_beyond_window_is_unsaturated(self, monkeypatch):
+        raise_first_generator(monkeypatch, "r^3")
+        report = verify_graded_intersection(4)
+        assert not report.saturated
+        assert not report.passed
+        assert report.checked == 125
+
 
 class TestNonflatness:
     def test_modulus_forced_by_identities(self):
@@ -328,6 +412,17 @@ class TestNonflatness:
         report = nonflatness_witness(witness_curve(-2, drop_modulus_term=0))
         assert not report.identities_hold
         assert any(even != "0" or odd != "0" for even, odd in report.residuals)
+
+    def test_permuted_images_do_not_pass(self, monkeypatch):
+        # with images 3 and 6 swapped, (0, 6, 4, 5) would satisfy the
+        # identities, but only the printed order (0, 3, 4, 5) may be tested
+        images = curve_coordinates(witness_curve(-2))
+        images[3], images[6] = images[6], images[3]
+        monkeypatch.setattr(biforms, "curve_coordinates", lambda spec: images)
+        report = nonflatness_witness(witness_curve(-2))
+        assert report.coordinate_order == (0, 3, 4, 5)
+        assert not report.identities_hold
+        assert not report.passed
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -79,6 +80,22 @@ class TestSingleCommands:
         assert checks["freeness"]["determinant"] == "64*r^13*s^12*t^12"
         assert checks["graded-equality"]["checked"] == 125
         assert checks["nonflatness"]["gamma_exp_used"] == -2
+
+    def test_verify_appendix_window_6_report_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "appendix.json"
+        assert main(["verify-appendix", "--window", "6", "--json", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3cc6ec7b365580543c09e3a98d0914b5cea38931f0a06915c7710c12cf2ff40f"
+        )
+
+    def test_large_window_runs(self, tmp_path, capsys):
+        path = tmp_path / "appendix.json"
+        assert main(["run", "appendix", "--window", "40", "--json", str(path)]) == 0
+        capsys.readouterr()
+        checks = {item["check"]: item for item in json.loads(path.read_text())["items"]}
+        assert checks["graded-equality"]["checked"] == 68921
+        assert checks["graded-equality"]["saturated"]
 
     def test_brauer_hilbert(self, capsys):
         assert main(["brauer", "hilbert", "--a", "-1", "--b", "-1", "--place", "real"]) == 0

@@ -126,6 +126,16 @@ class TestArithmetic:
         assert p * Fraction(1, 2) == parse("1/2*s", ST)
         assert p - 1 == parse("s - 1", ST)
 
+    def test_constants_hash_like_their_value(self):
+        three = LaurentPolynomial.constant(ST, 3)
+        zero = LaurentPolynomial.zero(ST)
+        assert three == 3 and hash(three) == hash(3)
+        assert zero == 0 and hash(zero) == hash(0)
+        assert three in {3}
+        assert {Fraction(3): "three"}[three] == "three"
+        assert {Fraction(0): "zero"}[zero] == "zero"
+        assert parse("s", ST) not in {Fraction(1)}
+
 
 class TestSubstitution:
     def test_single_substitution(self):
