@@ -1,13 +1,36 @@
 """Two-torsion Brauer classes over Q and Q(sqrt(d)) at desk scale.
 
-Hilbert symbols are computed by the standard local formulas and
-cross-validated against an exhaustive primitive-solution search modulo p^3
-(odd p) and 2^6, which decides p-adic solubility of ``z^2 = a x^2 + b y^2``
-for squarefree a, b by Hensel lifting.  On top of the symbols: quaternion
-splitting and ramification, restriction to a quadratic extension,
-corestriction via the projection formula, the classification invariants of
-rational quadratic forms, isotropy by the local-global principle, similarity
-of forms, and Albert forms of quaternion pairs.
+Only the standard library is used, and every path does bounded work.
+
+*Local paths.*  At a prime p a nonzero rational is ``p^v * u`` with ``u`` a
+p-adic unit, and its square class is fixed by ``v mod 2`` and the residue of
+``u`` mod p (mod 8 at p = 2); see Serre, *A Course in Arithmetic*, Ch. II-III.
+``hilbert_symbol`` and ``is_local_square`` read ``v`` and ``u`` off
+``numerator * denominator`` by repeated division, never factor, and cache the
+symbol formula on the reduced classes.  The real place is settled by signs.
+
+*Search oracle.*  ``hilbert_symbol_search`` is an independent check of the
+formula: it reduces ``a`` and ``b`` to ``p^(v mod 2) * u`` modulo ``p^3``
+(``2^6`` at p = 2) and searches for a primitive solution of
+``z^2 = a x^2 + b y^2``, which for such coefficients lifts p-adically by
+Hensel's lemma.  A primitive solution has x or y a unit, and dividing by the
+square of that unit sets it to 1, so the search runs over one variable: is
+``a + b*y^2`` or ``a*y^2 + b`` a square?  That is O(p^3) work per pair.  The
+oracle refuses primes above ``SEARCH_PRIME_LIMIT``.
+
+*Global paths.*  The prime support of a value (relevant places,
+square-class representatives, the check on ``d``, primality of a ``Place``)
+comes from trial division by the primes below ``TRIAL_DIVISION_LIMIT`` and a
+deterministic Miller-Rabin test, exact below ``MILLER_RABIN_LIMIT``.  An
+integer these cannot factor raises ``FactorizationBoundError``.
+
+*Forms.*  On top of the symbols: quaternion splitting and ramification,
+restriction to a quadratic extension, corestriction via the projection
+formula, the classification invariants of rational quadratic forms, isotropy
+by the local-global principle, and Albert forms of quaternion pairs.
+Similarity is one linear system over F2 in the exponents of the scaling
+square class, built from ``s_v(c*f) = s_v(f) * (c, (-1)^(n(n-1)/2) d(f)^(n-1))_v``
+(Lam, *Introduction to Quadratic Forms over Fields*, Ch. V).
 """
 
 from __future__ import annotations
@@ -15,9 +38,95 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 
-import numpy as np
-from sympy import factorint, isprime
+#: Trial division uses every prime below this bound.
+TRIAL_DIVISION_LIMIT = 10**5
+#: Miller-Rabin with the first 13 prime bases is exact below this integer.
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: Largest prime the search oracle accepts: it scans p^3 residues.
+SEARCH_PRIME_LIMIT = 53
+
+
+class FactorizationBoundError(ValueError):
+    """An integer past what trial division and Miller-Rabin decide exactly."""
+
+    def __init__(self, n):
+        super().__init__(
+            "%d is past the factorization bound: after trial division below %d "
+            "a cofactor is composite or not below %d, where Miller-Rabin is exact"
+            % (n, TRIAL_DIVISION_LIMIT, MILLER_RABIN_LIMIT)
+        )
+
+
+@lru_cache(maxsize=None)
+def _small_primes():
+    sieve = bytearray([1]) * TRIAL_DIVISION_LIMIT
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(TRIAL_DIVISION_LIMIT - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, TRIAL_DIVISION_LIMIT, p)))
+    return tuple(compress(range(TRIAL_DIVISION_LIMIT), sieve))
+
+
+def _miller_rabin(n):
+    """Strong-probable-prime test of an odd ``n`` above the bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime(n):
+    """Exact primality of an integer; raises past ``MILLER_RABIN_LIMIT``."""
+    if n < 2:
+        return False
+    for p in _small_primes():
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return False
+    if n < MILLER_RABIN_LIMIT:
+        return _miller_rabin(n)
+    raise FactorizationBoundError(n)
+
+
+@lru_cache(maxsize=None)
+def _factor(n):
+    """Prime factorization ``((p, e), ...)`` of an integer ``n >= 1``, ascending."""
+    factors = []
+    m = n
+    for p in _small_primes():
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    else:
+        # no prime factor below the limit is left in m
+        if m >= TRIAL_DIVISION_LIMIT ** 2 and not (
+            m < MILLER_RABIN_LIMIT and _miller_rabin(m)
+        ):
+            raise FactorizationBoundError(n)
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -28,9 +137,10 @@ class Place:
 
     def __post_init__(self):
         if self.p is not None:
-            if not isprime(self.p):
+            p = int(self.p)
+            if p != self.p or not _is_prime(p):
                 raise ValueError("%r is not prime" % (self.p,))
-            object.__setattr__(self, "p", int(self.p))
+            object.__setattr__(self, "p", p)
 
     @classmethod
     def real(cls):
@@ -55,17 +165,16 @@ REAL = Place.real()
 
 
 def _as_nonzero_fraction(x, label="value"):
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if not x:
         raise ValueError("%s must be nonzero" % label)
     return x
 
 
-@lru_cache(maxsize=None)
 def _squarefree_int(n):
-    sign = -1 if n < 0 else 1
-    result = sign
-    for prime, exponent in factorint(abs(n)).items():
+    result = -1 if n < 0 else 1
+    for prime, exponent in _factor(abs(n)):
         if exponent % 2:
             result *= prime
     return result
@@ -79,7 +188,10 @@ def squarefree_part(x):
 
 def prime_support(x):
     """Odd primes in the squarefree part of ``x``."""
-    return tuple(p for p in sorted(factorint(abs(squarefree_part(x)))) if p != 2)
+    x = _as_nonzero_fraction(x)
+    return tuple(
+        p for p, e in _factor(abs(x.numerator * x.denominator)) if e % 2 and p != 2
+    )
 
 
 def relevant_places(values):
@@ -114,48 +226,66 @@ def _split_valuation(n, p):
     return v, n
 
 
+def _local_class(x, p, modulus):
+    """``(v mod 2, u mod modulus)`` for a nonzero Fraction ``x = p^v * u`` up
+    to unit squares.
+
+    Read off ``numerator * denominator``, which is ``x`` times a square.
+    """
+    v, u = _split_valuation(x.numerator * x.denominator, p)
+    return v % 2, u % modulus
+
+
 @lru_cache(maxsize=None)
-def _hilbert_symbol_cached(a, b, place):
-    if place.is_real:
-        return -1 if a < 0 and b < 0 else 1
-    p = place.p
-    alpha, u = _split_valuation(a, p)
-    beta, w = _split_valuation(b, p)
+def _hilbert_formula(alpha, u, beta, w, p):
+    """``(p^alpha u, p^beta w)_p`` for units u, w reduced mod p (mod 8 at 2)."""
     if p == 2:
         e = _epsilon(u) * _epsilon(w) + alpha * _omega(w) + beta * _omega(u)
         return -1 if e % 2 else 1
     result = 1
-    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
+    if alpha and beta and (p - 1) // 2 % 2:
         result = -result
-    if beta % 2:
+    if beta:
         result *= _legendre(u, p)
-    if alpha % 2:
+    if alpha:
         result *= _legendre(w, p)
     return result
 
 
 def hilbert_symbol(a, b, place):
     """Local Hilbert symbol ``(a, b)`` at a place of Q, by formula."""
-    return _hilbert_symbol_cached(squarefree_part(a), squarefree_part(b), place)
+    a = _as_nonzero_fraction(a, "a")
+    b = _as_nonzero_fraction(b, "b")
+    if place.is_real:
+        return -1 if a < 0 and b < 0 else 1
+    p = place.p
+    modulus = 8 if p == 2 else p
+    return _hilbert_formula(*_local_class(a, p, modulus), *_local_class(b, p, modulus), p)
+
+
+def _search_modulus(p):
+    return 64 if p == 2 else p ** 3
 
 
 @lru_cache(maxsize=None)
-def _solubility_search(a_mod, b_mod, p, modulus):
-    xs = np.arange(modulus, dtype=np.int64)
-    squares = np.zeros(modulus, dtype=bool)
-    squares[(xs * xs) % modulus] = True
-    ax2 = (a_mod * xs * xs) % modulus
-    by2 = (b_mod * xs * xs) % modulus
-    unit = (xs % p) != 0
-    pairs = (
-        (np.unique(ax2[unit]), np.unique(by2)),
-        (np.unique(ax2), np.unique(by2[unit])),
-    )
-    for left, right in pairs:
-        for start in range(0, len(left), 256):
-            chunk = left[start:start + 256]
-            if squares[(chunk[:, None] + right[None, :]) % modulus].any():
-                return 1
+def _squares_mod(modulus):
+    return frozenset(x * x % modulus for x in range(modulus))
+
+
+@lru_cache(maxsize=None)
+def _solubility_search(a, b, p):
+    """1 if ``z^2 = a x^2 + b y^2`` has a solution modulo ``p^3`` (``2^6``)
+    with x or y a unit, else -1.
+
+    Dividing such a solution by the square of its unit coordinate sets that
+    coordinate to 1, so it suffices that ``a + b*s`` or ``a*s + b`` is a
+    square for some square ``s`` (the square of the other coordinate).
+    """
+    modulus = _search_modulus(p)
+    squares = _squares_mod(modulus)
+    for s in squares:
+        if (a + b * s) % modulus in squares or (a * s + b) % modulus in squares:
+            return 1
     return -1
 
 
@@ -163,32 +293,37 @@ def hilbert_symbol_search(a, b, place):
     """Brute-force oracle for the Hilbert symbol.
 
     Finite places: exhaustive search for a primitive solution of
-    ``z^2 = a x^2 + b y^2`` modulo ``p^3`` (odd ``p``) or ``2^6``; with
-    squarefree coefficients any such solution lifts p-adically and any p-adic
-    solution reduces to one.  A primitive solution must have x or y a unit.
-    The real place is settled by signs alone.
+    ``z^2 = a x^2 + b y^2`` modulo ``p^3`` (odd ``p``) or ``2^6``, with ``a``
+    and ``b`` reduced to ``p^(v mod 2)`` times a unit; for such coefficients
+    any solution lifts p-adically and any p-adic solution reduces to one.
+    Primes above ``SEARCH_PRIME_LIMIT`` are refused.  The real place is
+    settled by signs alone.
     """
-    sa, sb = squarefree_part(a), squarefree_part(b)
+    a = _as_nonzero_fraction(a, "a")
+    b = _as_nonzero_fraction(b, "b")
     if place.is_real:
-        return 1 if sa > 0 or sb > 0 else -1
+        return 1 if a > 0 or b > 0 else -1
     p = place.p
-    modulus = 64 if p == 2 else p ** 3
-    return _solubility_search(sa % modulus, sb % modulus, p, modulus)
+    if p > SEARCH_PRIME_LIMIT:
+        raise ValueError(
+            "the search oracle covers primes up to %d, got %d" % (SEARCH_PRIME_LIMIT, p)
+        )
+    modulus = _search_modulus(p)
+    alpha, u = _local_class(a, p, modulus)
+    beta, w = _local_class(b, p, modulus)
+    return _solubility_search(p ** alpha * u % modulus, p ** beta * w % modulus, p)
 
 
 def is_local_square(x, place):
     """Is ``x`` a square in the completion of Q at ``place``?"""
-    sf = squarefree_part(x)
+    x = _as_nonzero_fraction(x)
     if place.is_real:
-        return sf > 0
-    if sf == 1:
-        return True
+        return x > 0
     p = place.p
-    if sf % p == 0:
+    v, u = _local_class(x, p, 8 if p == 2 else p)
+    if v:
         return False
-    if p == 2:
-        return sf % 8 == 1
-    return _legendre(sf, p) == 1
+    return u == 1 if p == 2 else _legendre(u, p) == 1
 
 
 # -- quaternion classes ------------------------------------------------------
@@ -409,33 +544,93 @@ def is_isotropic_over_quadratic(form, d):
     return pos > 0 and neg > 0
 
 
-def similarity_candidates(f, g):
-    """Square classes supported on -1, 2, and the primes of the entries.
+def _least_solution(rows):
+    """Least ``x`` with ``popcount(mask & x) % 2 == rhs`` for every
+    ``(mask, rhs)`` row over F2, or None when the rows are inconsistent.
 
-    Any valid similarity scaling can be moved into this set because the Hasse
-    invariants of both forms are trivial at every other place.
+    Each pivot sits at the lowest bit of its row, so a pivot depends only on
+    higher bits; setting every free bit to 0 from the top down then gives the
+    least solution.
     """
+    pivots = {}
+    for mask, rhs in rows:
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = (mask, rhs)
+                break
+            pivot_mask, pivot_rhs = pivots[low]
+            mask ^= pivot_mask
+            rhs ^= pivot_rhs
+        else:
+            if rhs:
+                return None
+    x = 0
+    for low in sorted(pivots, reverse=True):
+        mask, rhs = pivots[low]
+        if ((mask & x).bit_count() + rhs) % 2:
+            x |= low
+    return x
+
+
+def forms_similar(f, g):
+    """Is there ``c`` with ``c*f`` isometric to ``g``?  Returns (bool, c).
+
+    ``c`` ranges over the square classes ``(-1)^s * prod p^(x_p)`` for ``p`` in
+    2 and the primes of the entries: any valid scaling can be moved into this
+    set because the Hasse invariants of both forms are trivial at every
+    other place.  Isometry of ``c*f`` and ``g`` is then linear over F2 in
+    ``(s, x_p)``: the signature fixes ``s`` unless it is balanced; in odd
+    dimension ``d(c*f) = c*d(f)`` must be ``d(g)``, in even dimension
+    ``d(f) = d(g)``; at the real place, 2 and each odd prime,
+    ``s_v(c*f) = s_v(f) * (c, e)_v`` with ``e = (-1)^(n(n-1)/2) d(f)^(n-1)``
+    must be ``s_v(g)``.  The ``c`` returned is the first hit of the order
+    that puts +1 before -1 and then counts through the subsets of primes as
+    binary numbers with 2 as the lowest bit.
+    """
+    if f.dim != g.dim:
+        raise ValueError("forms of different dimension cannot be similar")
+    n = f.dim
     primes = {2}
     for x in f.diag + g.diag:
         primes.update(prime_support(x))
     primes = sorted(primes)
-    for sign in (1, -1):
-        for mask in range(1 << len(primes)):
-            c = sign
-            for i, p in enumerate(primes):
-                if mask >> i & 1:
-                    c *= p
-            yield c
+    sign_bit = 1 << len(primes)
+    inv_f, inv_g = form_invariants(f), form_invariants(g)
+    hasse_f, hasse_g = dict(inv_f.hasse), dict(inv_g.hasse)
 
+    flipped = inv_f.signature[::-1]
+    if inv_g.signature not in (inv_f.signature, flipped):
+        return False, None
+    rows = []
+    if flipped != inv_f.signature:
+        rows.append((sign_bit, int(inv_g.signature == flipped)))
+    if n % 2:
+        df, dg = inv_f.disc, inv_g.disc
+        rows.append((sign_bit, int((df < 0) != (dg < 0))))
+        rows.extend(
+            (1 << i, int((df % p == 0) != (dg % p == 0))) for i, p in enumerate(primes)
+        )
+    elif inv_f.disc != inv_g.disc:
+        return False, None
 
-def forms_similar(f, g):
-    """Is there ``c`` with ``c*f`` isometric to ``g``?  Returns (bool, c)."""
-    if f.dim != g.dim:
-        raise ValueError("forms of different dimension cannot be similar")
-    for c in similarity_candidates(f, g):
-        if forms_equivalent(f.scaled(c), g):
-            return True, c
-    return False, None
+    e = (-1) ** (n * (n - 1) // 2) * (inv_f.disc if n % 2 == 0 else 1)
+    for place in [REAL] + [Place.prime(p) for p in primes]:
+        mask = sign_bit if hilbert_symbol(-1, e, place) == -1 else 0
+        for i, p in enumerate(primes):
+            if hilbert_symbol(p, e, place) == -1:
+                mask |= 1 << i
+        rhs = int(hasse_f.get(place, 1) != hasse_g.get(place, 1))
+        rows.append((mask, rhs))
+
+    x = _least_solution(rows)
+    if x is None:
+        return False, None
+    c = -1 if x & sign_bit else 1
+    for i, p in enumerate(primes):
+        if x >> i & 1:
+            c *= p
+    return True, c
 
 
 def albert_form(q1, q2):

@@ -46,8 +46,21 @@ def _parse_place(parser, text):
         return brauer.REAL
     try:
         return brauer.Place.prime(int(text))
+    except brauer.FactorizationBoundError as exc:
+        parser.error(str(exc))
     except ValueError:
         parser.error("place must be 'real' or a prime number")
+
+
+def _window(text):
+    """argparse type of ``--window``: an integer of at least 4."""
+    try:
+        window = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer, got %r" % text) from None
+    if window < 4:
+        raise argparse.ArgumentTypeError("must be at least 4, got %d" % window)
+    return window
 
 
 def _build_parser():
@@ -60,7 +73,7 @@ def _build_parser():
     run = sub.add_parser("run", help="run one verification suite or all of them")
     run.add_argument("suite", choices=reports.SUITES + ("all",))
     run.add_argument("--seed", type=int, default=reports.DEFAULT_SEED)
-    run.add_argument("--window", type=int, default=reports.DEFAULT_WINDOW)
+    run.add_argument("--window", type=_window, default=reports.DEFAULT_WINDOW)
     run.add_argument("--gamma-exp", choices=("-1", "-2", "auto"), default="auto")
     run.add_argument("--entry", type=int, default=None)
     run.add_argument("--dim", type=int, default=None)
@@ -76,7 +89,7 @@ def _build_parser():
     s5.add_argument("--json", dest="json_path", default=None)
 
     ap = sub.add_parser("verify-appendix", help="biform-module computations")
-    ap.add_argument("--window", type=int, default=reports.DEFAULT_WINDOW)
+    ap.add_argument("--window", type=_window, default=reports.DEFAULT_WINDOW)
     ap.add_argument("--gamma-exp", choices=("-1", "-2", "auto"), default="auto")
     ap.add_argument("--json", dest="json_path", default=None)
 
@@ -119,8 +132,6 @@ def _print_notes(report):
 
 
 def _run_command(parser, args):
-    if args.window < 4:
-        parser.error("--window must be at least 4")
     _validate_entry(parser, args.suite if args.suite != "all" else "", args.entry)
     if args.suite == "all":
         started = time.perf_counter()
@@ -183,8 +194,6 @@ def main(argv=None):
         return 0 if ok else 1
 
     if args.command == "verify-appendix":
-        if args.window < 4:
-            parser.error("--window must be at least 4")
         payload = reports.run_appendix(window=args.window, gamma_exp=args.gamma_exp)
         _emit(payload, args.json_path, sys.stdout)
         return _exit_code(payload["status"])
@@ -195,7 +204,10 @@ def main(argv=None):
             b = _parse_fraction(parser, args.b, "--b")
             place = _parse_place(parser, args.place)
             symbol = brauer.hilbert_symbol(a, b, place)
-            search = brauer.hilbert_symbol_search(a, b, place)
+            try:
+                search = brauer.hilbert_symbol_search(a, b, place)
+            except ValueError as exc:
+                parser.error(str(exc))
             payload = {
                 "a": str(a),
                 "b": str(b),

@@ -1,14 +1,21 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadricbundles.brauer import (
+    MILLER_RABIN_LIMIT,
     REAL,
+    SEARCH_PRIME_LIMIT,
     DescentReport,
+    FactorizationBoundError,
     Place,
     QuaternionClass,
     RationalQuadraticForm,
+    _factor,
+    _solubility_search,
     albert_form,
     corestriction_projection,
     form_invariants,
@@ -20,6 +27,7 @@ from quadricbundles.brauer import (
     is_isotropic,
     is_isotropic_over_quadratic,
     is_local_square,
+    prime_support,
     quaternion_is_split,
     relevant_places,
     res_cor_doubling_check,
@@ -352,3 +360,234 @@ class TestDescentInstances:
             verify_quaternion_descent_instance(3, 5, 7, 4)
         with pytest.raises(ValueError):
             verify_quaternion_descent_instance(3, 5, 7, 1)
+
+
+# -- the dehomogenized search oracle -----------------------------------------
+
+def naive_primitive_search(a, b, p):
+    """Scan every (x, y), one of them a unit, for z^2 = a x^2 + b y^2."""
+    modulus = 64 if p == 2 else p ** 3
+    squares = {z * z % modulus for z in range(modulus)}
+    for x in range(modulus):
+        for y in range(modulus):
+            if (x % p or y % p) and (a * x * x + b * y * y) % modulus in squares:
+                return 1
+    return -1
+
+
+def local_class_residues(p):
+    """``p^v * u`` modulo the search modulus, for v in {0, 1} and every unit u."""
+    modulus = 64 if p == 2 else p ** 3
+    units = [u for u in range(modulus) if u % p]
+    return [p ** v * u % modulus for v in (0, 1) for u in units]
+
+
+class TestSearchOracle:
+    def test_every_class_at_3_matches_naive_search(self):
+        residues = local_class_residues(3)
+        for a in residues:
+            for b in residues:
+                assert _solubility_search(a, b, 3) == naive_primitive_search(a, b, 3), (a, b)
+
+    @pytest.mark.parametrize("p, samples", [(2, 150), (5, 30)])
+    def test_sampled_classes_match_naive_search(self, p, samples):
+        rng = random.Random(60 + p)
+        residues = local_class_residues(p)
+        for _ in range(samples):
+            a, b = rng.choice(residues), rng.choice(residues)
+            assert _solubility_search(a, b, p) == naive_primitive_search(a, b, p), (a, b)
+
+    def test_formula_matches_oracle_up_to_the_limit(self):
+        rng = random.Random(61)
+        primes = [p for p in range(17, SEARCH_PRIME_LIMIT + 1) if all(p % d for d in range(2, p))]
+        for p in primes:
+            for _ in range(10):
+                a, b = random_rational(rng, 10**6, 50), random_rational(rng, 10**6, 50)
+                place = Place.prime(p)
+                assert hilbert_symbol(a, b, place) == hilbert_symbol_search(a, b, place)
+
+    def test_oracle_refuses_primes_past_the_limit(self):
+        with pytest.raises(ValueError, match="up to %d" % SEARCH_PRIME_LIMIT):
+            hilbert_symbol_search(2, 3, Place.prime(59))
+        assert hilbert_symbol(2, 3, Place.prime(1009)) == 1
+
+
+# -- the bounded factorizer ---------------------------------------------------
+
+#: A 20-digit prime, and the two 25-digit primes of the semiprime
+#: 3000000000000000000000028000000000000000000000049.
+PRIME_20 = 10000000000000000051
+PRIME_25 = (10**24 + 7, 3 * 10**24 + 7)
+SEMIPRIME = PRIME_25[0] * PRIME_25[1]
+
+
+class TestFactorizer:
+    def test_round_trip(self):
+        rng = random.Random(62)
+        values = [1, 2, 97, 2**40, 99991 * 99989, PRIME_20, 12 * PRIME_25[1]]
+        for _ in range(200):
+            # at most one prime factor past the trial division bound
+            n = rng.randint(1, 10**9)
+            if rng.random() < 0.3:
+                n = rng.choice((1, 6, 2**5 * 3**3 * 99991)) * PRIME_20
+            values.append(n)
+        for n in values:
+            factors = _factor(n)
+            product = 1
+            for p, e in factors:
+                assert e >= 1
+                product *= p ** e
+            assert product == n
+            primes = [p for p, _ in factors]
+            assert primes == sorted(set(primes))
+            assert all(Place.prime(p).p == p for p in primes)
+
+    def test_small_factors_against_trial_division(self):
+        for n in range(2, 3000):
+            expected, m, d = [], n, 2
+            while m > 1:
+                e = 0
+                while m % d == 0:
+                    m //= d
+                    e += 1
+                if e:
+                    expected.append((d, e))
+                d += 1
+            assert list(_factor(n)) == expected
+
+    def test_twenty_digit_prime_place(self):
+        assert Place.prime(PRIME_20).p == PRIME_20
+        assert str(Place.prime(PRIME_20)) == str(PRIME_20)
+        with pytest.raises(ValueError):
+            Place.prime(PRIME_20 * 3)
+        with pytest.raises(ValueError):
+            Place.prime(99991 * 99989)
+        assert squarefree_part(-4 * PRIME_20) == -PRIME_20
+        assert prime_support(Fraction(PRIME_20, 9)) == (PRIME_20,)
+
+    def test_bound_error_names_the_integer(self):
+        assert SEMIPRIME >= MILLER_RABIN_LIMIT
+        with pytest.raises(FactorizationBoundError, match=str(SEMIPRIME)):
+            squarefree_part(SEMIPRIME)
+        with pytest.raises(FactorizationBoundError, match=str(SEMIPRIME)):
+            relevant_places([3, Fraction(1, SEMIPRIME)])
+        with pytest.raises(FactorizationBoundError):
+            Place.prime(SEMIPRIME)
+        # a prime past the exact Miller-Rabin range cannot be certified
+        with pytest.raises(FactorizationBoundError):
+            Place.prime(10**25 + 13)
+        # below the range the same semiprime's factors are exact
+        assert _factor(SEMIPRIME // PRIME_25[0]) == ((PRIME_25[1], 1),)
+        assert issubclass(FactorizationBoundError, ValueError)
+
+    def test_local_paths_never_factor(self):
+        place = Place.prime(5)
+        assert hilbert_symbol(SEMIPRIME, 3, place) == hilbert_symbol_search(SEMIPRIME, 3, place)
+        assert is_local_square(SEMIPRIME * 4, REAL)
+        assert hilbert_symbol(SEMIPRIME, -1, REAL) == 1
+
+
+# -- similarity as one F2 solve ------------------------------------------------
+
+def similar_by_enumeration(f, g):
+    """Try every square class +-prod(p) on 2 and the primes of the entries,
+    +1 before -1 and prime subsets as binary numbers with 2 lowest."""
+    primes = {2}
+    for x in f.diag + g.diag:
+        primes.update(prime_support(x))
+    primes = sorted(primes)
+    for sign in (1, -1):
+        for mask in range(1 << len(primes)):
+            c = sign
+            for i, p in enumerate(primes):
+                if mask >> i & 1:
+                    c *= p
+            if forms_equivalent(f.scaled(c), g):
+                return True, c
+    return False, None
+
+
+class TestSimilaritySolve:
+    def test_matches_enumeration_oracle(self):
+        rng = random.Random(63)
+        pool = [1, 2, 3, 5, 6, 10, 15, 4, Fraction(1, 2), Fraction(3, 5)]
+        similar = 0
+        for _ in range(2000):
+            dim = rng.randint(1, 6)
+            f = RationalQuadraticForm(
+                tuple(rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim))
+            )
+            if rng.random() < 0.5:
+                c = rng.choice((1, -1)) * rng.choice(pool)
+                entries = [c * x * rng.choice((1, 4, 9, Fraction(1, 4))) for x in f.diag]
+                rng.shuffle(entries)
+            else:
+                entries = [rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim)]
+            g = RationalQuadraticForm(tuple(entries))
+            expected = similar_by_enumeration(f, g)
+            assert forms_similar(f, g) == expected, (str(f), str(g))
+            similar += expected[0]
+        assert 600 < similar < 1800
+
+    def test_thirteen_prime_non_similar_pair_is_fast(self):
+        f = RationalQuadraticForm((3 * 5, 7 * 11, -13 * 17, 19 * 23, -29 * 31, 2 * 37 * 41))
+        g = RationalQuadraticForm((187, 299, 38, 259, -205, -2697))
+        inv_f, inv_g = form_invariants(f), form_invariants(g)
+        assert (inv_f.disc, inv_f.signature) == (inv_g.disc, inv_g.signature)
+        started = time.perf_counter()
+        assert forms_similar(f, g) == (False, None)
+        assert time.perf_counter() - started < 1.0
+
+
+# -- large integers ------------------------------------------------------------
+
+BIG = st.integers(min_value=10**29, max_value=10**60).flatmap(
+    lambda n: st.sampled_from((n, -n))
+)
+PLACES = st.sampled_from(
+    (REAL,) + tuple(Place.prime(p) for p in (2, 3, 5, 7, 11, 13)) + (Place.prime(PRIME_20),)
+)
+#: Factors whose products relevant_places can factor: primes below the trial
+#: division bound and at most one larger prime.
+SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 54323, 70051, 77783, 99013)
+LARGE_PRIMES = (1000000012367, 1000000000012421, 1000000000000012439, PRIME_20)
+
+
+@st.composite
+def factorable_big(draw):
+    n = draw(st.sampled_from((1, -1))) * draw(st.sampled_from(LARGE_PRIMES))
+    for p in draw(st.lists(st.sampled_from(SMOOTH_PRIMES), min_size=1, max_size=12)):
+        n *= p
+    return n
+
+
+LARGE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestLargeIntegers:
+    @LARGE_SETTINGS
+    @given(BIG, BIG, BIG, PLACES)
+    def test_square_class_invariance(self, a, b, c, place):
+        assert hilbert_symbol(a * c * c, b, place) == hilbert_symbol(a, b, place)
+        assert hilbert_symbol(Fraction(a, c * c), b, place) == hilbert_symbol(a, b, place)
+
+    @LARGE_SETTINGS
+    @given(BIG, BIG, BIG, PLACES)
+    def test_bimultiplicativity(self, a1, a2, b, place):
+        assert hilbert_symbol(a1 * a2, b, place) == hilbert_symbol(
+            a1, b, place
+        ) * hilbert_symbol(a2, b, place)
+
+    @LARGE_SETTINGS
+    @given(BIG, BIG, st.sampled_from((2, 3, 5, 7, 11, 13)))
+    def test_formula_matches_oracle(self, a, b, p):
+        place = Place.prime(p)
+        assert hilbert_symbol(a, b, place) == hilbert_symbol_search(a, b, place)
+
+    @LARGE_SETTINGS
+    @given(factorable_big(), factorable_big())
+    def test_product_formula(self, a, b):
+        product = 1
+        for place in relevant_places([a, Fraction(1, b)]):
+            product *= hilbert_symbol(a, Fraction(1, b), place)
+        assert product == 1

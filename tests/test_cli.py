@@ -2,12 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
 from quadricbundles import reports
 from quadricbundles.cli import main
+
+#: Product of the 25-digit primes 10^24 + 7 and 3*10^24 + 7.
+SEMIPRIME = "3000000000000000000000028000000000000000000000049"
 
 
 def run_cli(*argv):
@@ -44,6 +48,11 @@ class TestExitCodes:
     def test_usage_error_on_small_window(self):
         result = run_cli("run", "appendix", "--window", "2")
         assert result.returncode == 2
+
+    def test_verify_appendix_usage_error_on_small_window(self):
+        result = run_cli("verify-appendix", "--window", "2")
+        assert result.returncode == 2
+        assert "at least 4" in result.stderr
 
     def test_single_entry_runs(self, capsys):
         assert main(["run", "section5", "--entry", "4"]) == 0
@@ -107,6 +116,32 @@ class TestSingleCommands:
         result = run_cli("brauer", "hilbert", "--a", "2", "--b", "3", "--place", "6")
         assert result.returncode == 2
 
+    def test_brauer_hilbert_refuses_place_past_oracle_bound(self):
+        started = time.perf_counter()
+        result = run_cli("brauer", "hilbert", "--a", "2", "--b", "3", "--place", "1009")
+        assert time.perf_counter() - started < 1.0
+        assert result.returncode == 2
+        assert "search oracle" in result.stderr
+
+    def test_brauer_hilbert_place_past_factorization_bound(self):
+        result = run_cli("brauer", "hilbert", "--a", "2", "--b", "3", "--place", SEMIPRIME)
+        assert result.returncode == 2
+        assert "factorization bound" in result.stderr
+
+    def test_brauer_hilbert_semiprime_argument(self):
+        started = time.perf_counter()
+        result = run_cli("brauer", "hilbert", "--a", SEMIPRIME, "--b", "3", "--place", "5")
+        assert time.perf_counter() - started < 1.0
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["agree"] is True
+
+    def test_brauer_albert_semiprime_is_usage_error(self):
+        result = run_cli(
+            "brauer", "albert", "--p", SEMIPRIME, "--q", "5", "--r", "7", "--d", "2"
+        )
+        assert result.returncode == 2
+        assert SEMIPRIME in result.stderr
+
     def test_brauer_albert(self, capsys):
         assert main(["brauer", "albert", "--p", "3", "--q", "5", "--r", "7", "--d", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -117,6 +152,22 @@ class TestSingleCommands:
     def test_brauer_albert_rejects_square_d(self):
         result = run_cli("brauer", "albert", "--p", "3", "--q", "5", "--r", "7", "--d", "4")
         assert result.returncode == 2
+
+
+class TestDependencies:
+    def test_cli_imports_only_the_standard_library(self):
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, quadricbundles.cli; "
+                "print(sorted({'numpy', 'sympy'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestReports:
