@@ -17,7 +17,7 @@ from .rings import (
     VariableTable,
     parse,
 )
-from .linalg import SingularMatrixError, determinant, solve_linear
+from .linalg import SingularMatrixError, determinant
 
 __all__ = [
     "DivisionError",
@@ -33,7 +33,6 @@ __all__ = [
     "VariableTable",
     "determinant",
     "parse",
-    "solve_linear",
 ]
 
 __version__ = "0.1.0"

@@ -95,10 +95,6 @@ class BiformVector:
             if c.table != RST:
                 raise ValueError("coordinates must live over the r, s, t ring")
 
-    @classmethod
-    def monomial_times_constant(cls, monomial, constant):
-        return cls(tuple(monomial * c for c in constant))
-
     def __add__(self, other):
         return BiformVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -134,20 +130,9 @@ class MonomialScaledModule:
         columns = [[self.gens[j][1][i] for j in range(9)] for i in range(9)]
         return invert_matrix(columns)
 
-    def coefficient_ring_allows(self, poly):
-        """Does the Laurent polynomial lie in this module's coefficient ring?"""
-        for exps in poly.terms:
-            for e, invertible in zip(exps, self.ring.invertible):
-                if e < 0 and not invertible:
-                    return False
-        return True
-
     def generator_vector(self, j):
         monomial, form = self.gens[j]
-        constants = tuple(
-            LaurentPolynomial.constant(RST, c) for c in form
-        )
-        return BiformVector(tuple(monomial * c for c in constants))
+        return BiformVector(tuple(monomial * c for c in form))
 
 
 def _monomial(text):
@@ -262,7 +247,7 @@ def membership(vector, module):
         monomial, _ = module.gens[j]
         coefficient = value * monomial.inverse()
         coefficients.append(coefficient)
-        if not module.coefficient_ring_allows(coefficient):
+        if not all(module.ring.allows(exps) for exps in coefficient.terms):
             offending.append(j)
     return MembershipCertificate(
         member=not offending,
@@ -276,10 +261,7 @@ def back_substitute(certificate, module):
     total = BiformVector(tuple(LaurentPolynomial.zero(RST) for _ in range(9)))
     for coefficient, (monomial, form) in zip(certificate.coefficients, module.gens):
         scale = coefficient * monomial
-        contribution = BiformVector(
-            tuple(scale * LaurentPolynomial.constant(RST, c) for c in form)
-        )
-        total = total + contribution
+        total = total + BiformVector(tuple(scale * c for c in form))
     return total
 
 
@@ -344,10 +326,7 @@ def graded_subspace(module, exponents):
     for monomial, form in module.gens:
         (mono_exps, _), = monomial.terms.items()
         quotient = tuple(e - me for e, me in zip(exponents, mono_exps))
-        if all(
-            e >= 0 or invertible
-            for e, invertible in zip(quotient, module.ring.invertible)
-        ):
+        if module.ring.allows(quotient):
             allowed_rows.append(list(form))
     return row_space(allowed_rows)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rings import LaurentPolynomial, RingHomomorphism, VariableTable
+from .rings import LaurentPolynomial, VariableTable, retabulate
 
 #: Gram diagonal of each normal form: per coefficient a sign and the indices
 #: of the base variables dividing it.
@@ -29,6 +29,10 @@ NORMAL_FORMS = {
 
 #: Smallest base dimension for which each normal form is defined.
 MIN_DIMENSION = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3}
+
+#: Largest base dimension the command line accepts; every construction here
+#: is linear in the dimension.
+MAX_DIMENSION = 10**4
 
 PROJECTIVE_NAMES = ("K", "L", "M", "N")
 
@@ -69,14 +73,10 @@ class DiagonalQuadricBundle:
     def equation(self):
         """Defining biform ``sum_j coeff_j * letter_j^2`` over the extended table."""
         table = equation_table(self.n)
-        embed = RingHomomorphism(
-            base_table(self.n),
-            table,
-            {name: LaurentPolynomial.variable(table, name) for name in base_table(self.n).names},
-        )
         total = LaurentPolynomial.zero(table)
         for coeff, letter in zip(self.coeffs, PROJECTIVE_NAMES):
-            total = total + embed(coeff) * LaurentPolynomial.variable(table, letter) ** 2
+            square = LaurentPolynomial.variable(table, letter) ** 2
+            total = total + retabulate(coeff, table) * square
         return total
 
 
@@ -151,18 +151,15 @@ def gram_rank_on_stratum(bundle, zeroset):
     """Rank of the Gram diagonal at a generic point of ``{t_i = 0 : i in zeroset}``.
 
     A coefficient survives iff it does not vanish identically after setting
-    the chosen base variables to zero.
+    the chosen base variables to zero, that is iff one of its terms has
+    exponent 0 on every variable of the zeroset.
     """
-    table = base_table(bundle.n)
     zeroset = set(zeroset)
-    if not zeroset <= set(range(1, bundle.n + 1)):
+    if not all(i in range(1, bundle.n + 1) for i in zeroset):
         raise ValueError("zeroset must be a subset of {1..%d}" % bundle.n)
-    images = {}
-    for name in table.names:
-        index = int(name[1:])
-        if index in zeroset:
-            images[name] = LaurentPolynomial.zero(table)
-        else:
-            images[name] = LaurentPolynomial.variable(table, name)
-    collapse = RingHomomorphism(table, table, images)
-    return sum(1 for coeff in bundle.coeffs if not collapse(coeff).is_zero())
+    positions = [i - 1 for i in zeroset]
+    return sum(
+        1
+        for coeff in bundle.coeffs
+        if any(all(exps[p] == 0 for p in positions) for exps in coeff.terms)
+    )

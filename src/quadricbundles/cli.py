@@ -14,7 +14,13 @@ import sys
 import time
 from fractions import Fraction
 
-from . import brauer, reports
+from . import brauer, bundles, covers, reports
+
+#: ``--entry`` values of the suites that take one.
+ENTRIES = {
+    "normal-forms": sorted(bundles.NORMAL_FORMS),
+    "section5": sorted(covers.COVER_SPECS),
+}
 
 
 def _write_json(path, payload):
@@ -63,6 +69,19 @@ def _window(text):
     return window
 
 
+def _dim(text):
+    """argparse type of ``--dim``: an integer in 0..bundles.MAX_DIMENSION."""
+    try:
+        dim = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer, got %r" % text) from None
+    if not 0 <= dim <= bundles.MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            "must be in 0..%d, got %d" % (bundles.MAX_DIMENSION, dim)
+        )
+    return dim
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quadricbundles",
@@ -76,16 +95,16 @@ def _build_parser():
     run.add_argument("--window", type=_window, default=reports.DEFAULT_WINDOW)
     run.add_argument("--gamma-exp", choices=("-1", "-2", "auto"), default="auto")
     run.add_argument("--entry", type=int, default=None)
-    run.add_argument("--dim", type=int, default=None)
+    run.add_argument("--dim", type=_dim, default=None)
     run.add_argument("--json", dest="json_path", default=None)
 
     nf = sub.add_parser("verify-normal-forms", help="one normal form, as JSON")
-    nf.add_argument("--entry", type=int, required=True)
-    nf.add_argument("--dim", type=int, default=None)
+    nf.add_argument("--entry", type=int, required=True, choices=ENTRIES["normal-forms"])
+    nf.add_argument("--dim", type=_dim, default=None)
     nf.add_argument("--json", dest="json_path", default=None)
 
     s5 = sub.add_parser("verify-section5", help="one cover map, as JSON")
-    s5.add_argument("--entry", type=int, required=True)
+    s5.add_argument("--entry", type=int, required=True, choices=ENTRIES["section5"])
     s5.add_argument("--json", dest="json_path", default=None)
 
     ap = sub.add_parser("verify-appendix", help="biform-module computations")
@@ -109,15 +128,20 @@ def _build_parser():
     return parser
 
 
-def _validate_entry(parser, suite, entry):
-    if entry is None:
+def _validate_run(parser, args):
+    """Usage errors for ``--entry`` and ``--dim`` on suites that ignore them."""
+    if args.dim is not None and args.suite != "normal-forms":
+        parser.error("--dim applies to the normal-forms suite")
+    if args.entry is None:
         return
-    if suite == "section5" and entry not in range(2, 9):
-        parser.error("section5 entries are 2..8, got %d" % entry)
-    if suite == "normal-forms" and entry not in range(1, 9):
-        parser.error("normal-form entries are 1..8, got %d" % entry)
-    if suite not in ("section5", "normal-forms"):
+    entries = ENTRIES.get(args.suite)
+    if entries is None:
         parser.error("--entry applies to the normal-forms and section5 suites")
+    if args.entry not in entries:
+        parser.error(
+            "%s entries are %d..%d, got %d"
+            % (args.suite, entries[0], entries[-1], args.entry)
+        )
 
 
 def _exit_code(status):
@@ -132,7 +156,7 @@ def _print_notes(report):
 
 
 def _run_command(parser, args):
-    _validate_entry(parser, args.suite if args.suite != "all" else "", args.entry)
+    _validate_run(parser, args)
     if args.suite == "all":
         started = time.perf_counter()
         payload = reports.run_all(
@@ -176,8 +200,6 @@ def main(argv=None):
         return _run_command(parser, args)
 
     if args.command == "verify-normal-forms":
-        if args.entry not in range(1, 9):
-            parser.error("normal-form entries are 1..8, got %d" % args.entry)
         try:
             payload = reports.normal_form_item(args.entry, args.dim)
         except ValueError as exc:
@@ -186,8 +208,6 @@ def main(argv=None):
         return 0
 
     if args.command == "verify-section5":
-        if args.entry not in range(2, 9):
-            parser.error("section5 entries are 2..8, got %d" % args.entry)
         payload = reports.section5_item(args.entry)
         _emit(payload, args.json_path, sys.stdout)
         ok = payload["equivariance"] == "pass" and payload["inverse"] == "pass"

@@ -21,6 +21,7 @@ from .rings import (
     LaurentPolynomial,
     RingHomomorphism,
     VariableTable,
+    retabulate,
 )
 
 LETTERS = ("A", "B", "C", "D")
@@ -126,16 +127,6 @@ def cover_map(entry, n=None):
     )
 
 
-def identity_map(n):
-    """The trivial cover (entry 1): no doubled coordinates, letters fixed."""
-    table = cover_table(0, n)
-    base_images = tuple(
-        LaurentPolynomial.variable(table, "t%d" % i) for i in range(1, n + 1)
-    )
-    proj_images = tuple(LaurentPolynomial.variable(table, x) for x in LETTERS)
-    return CoverMap(entry=1, m=0, n=n, base_images=base_images, proj_images=proj_images)
-
-
 def base_quadric(table):
     signs = (1, -1, 1, -1)
     total = LaurentPolynomial.zero(table)
@@ -231,15 +222,10 @@ def infer_sign_action(cover):
     return SignCharacter(generators=tuple(generators))
 
 
-def _generator_substitution(cover, gen, letter_signs=None):
+def _generator_substitution(cover, gen, letter_signs):
     """Homomorphism flipping ``s_{gen}`` and scaling letters by the signs."""
     table = cover.table
-    if letter_signs is None:
-        letter_signs = (1, 1, 1, 1)
-    images = {}
-    for name in table.names:
-        var = LaurentPolynomial.variable(table, name)
-        images[name] = var
+    images = {name: LaurentPolynomial.variable(table, name) for name in table.names}
     images["s%d" % gen] = -LaurentPolynomial.variable(table, "s%d" % gen)
     for letter, sign in zip(LETTERS, letter_signs):
         images[letter] = sign * LaurentPolynomial.variable(table, letter)
@@ -339,13 +325,8 @@ def generic_fiber_inverse(cover):
     images = {}
     for i in range(1, cover.m + 1):
         images["s%d" % i] = LaurentPolynomial.variable(localized, "s%d" % i)
-    relabel = RingHomomorphism(
-        cover.table,
-        localized,
-        {name: LaurentPolynomial.variable(localized, name) for name in cover.table.names},
-    )
     for target, img in zip(PROJECTIVE_NAMES, cover.proj_images):
-        images[target] = relabel(img)
+        images[target] = retabulate(img, localized)
     compose = RingHomomorphism(table, localized, images)
     composition = tuple(compose(img) for img in inverse_images)
     expected = tuple(

@@ -1,7 +1,7 @@
 """Exact linear algebra: fraction-free elimination over polynomial rings and
 plain Gaussian elimination over the rationals.
 
-The polynomial routines (Bareiss determinant, Cramer solve) work over any
+The Bareiss determinant works over any
 :class:`~quadricbundles.rings.VariableTable`; exactness of the interior
 divisions is the classical fraction-free elimination guarantee for integral
 domains.  The rational routines operate on lists of ``Fraction`` rows and are
@@ -11,7 +11,6 @@ used for constant-coefficient change-of-basis and subspace computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .rings import LaurentPolynomial, RingError
 
@@ -47,85 +46,6 @@ def determinant(rows):
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def _rational_content(poly):
-    """Positive rational c with poly/c integer-primitive; 1 for zero."""
-    if poly.is_zero():
-        return Fraction(1)
-    num = 0
-    den = 1
-    for coeff in poly.terms.values():
-        num = gcd(num, coeff.numerator)
-        den = den * coeff.denominator // gcd(den, coeff.denominator)
-    return Fraction(num, den)
-
-
-def reduce_fraction(num, den):
-    """Reduce a polynomial fraction by exact division, common monomial
-    content, and rational content; the denominator's leading coefficient is
-    normalized positive."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    table = num.table
-    if num.is_zero():
-        return num, LaurentPolynomial.one(table)
-    try:
-        return num.exact_div(den), LaurentPolynomial.one(table)
-    except RingError:
-        pass
-    width = len(table)
-    shift = tuple(
-        min(
-            min(e[i] for e in num.terms),
-            min(e[i] for e in den.terms),
-        )
-        for i in range(width)
-    )
-    if any(shift):
-        # dividing num and den by a common monomial is a valid identity in
-        # the fraction field even when the monomial is not a unit
-        num = LaurentPolynomial(
-            table,
-            {tuple(a - b for a, b in zip(e, shift)): c for e, c in num.terms.items()},
-        )
-        den = LaurentPolynomial(
-            table,
-            {tuple(a - b for a, b in zip(e, shift)): c for e, c in den.terms.items()},
-        )
-    scale = _rational_content(den)
-    num = num * (1 / scale)
-    den = den * (1 / scale)
-    if den.leading_term()[1] < 0:
-        num, den = -num, -den
-    if den == LaurentPolynomial.one(table):
-        return num, den
-    try:
-        return num.exact_div(den), LaurentPolynomial.one(table)
-    except RingError:
-        return num, den
-
-
-def solve_linear(matrix, rhs):
-    """Solve a square polynomial system exactly over the fraction field.
-
-    Returns one ``(numerator, denominator)`` pair per unknown, reduced by
-    :func:`reduce_fraction`.  Raises :class:`SingularMatrixError` when the
-    determinant vanishes.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("need a square matrix and a matching right-hand side")
-    det = determinant(matrix)
-    if det.is_zero():
-        raise SingularMatrixError("matrix determinant is zero")
-    solution = []
-    for i in range(n):
-        replaced = [
-            [rhs[r] if c == i else matrix[r][c] for c in range(n)] for r in range(n)
-        ]
-        solution.append(reduce_fraction(determinant(replaced), det))
-    return solution
 
 
 # -- rational matrices -------------------------------------------------------

@@ -73,17 +73,18 @@ class VariableTable:
         except KeyError:
             raise KeyError("unknown variable %r" % name) from None
 
-    def check_exponents(self, exponents):
-        for e, inv, name in zip(exponents, self.invertible, self.names):
+    def allows(self, exponents):
+        """Is the exponent vector a monomial of this ring?"""
+        for e, inv in zip(exponents, self.invertible):
             if e < 0 and not inv:
-                raise ExponentError(
-                    "negative exponent %d on non-invertible variable %r" % (e, name)
-                )
+                return False
+        return True
 
-    def localized(self, *names):
-        """Copy of the table with the given variables additionally invertible."""
-        inv = [n for n, f in zip(self.names, self.invertible) if f]
-        return VariableTable(self.names, tuple(inv) + tuple(names))
+    def check_exponents(self, exponents):
+        if not self.allows(exponents):
+            raise ExponentError(
+                "exponents %r leave the ring %r" % (tuple(exponents), self)
+            )
 
     def __eq__(self, other):
         return (
@@ -207,13 +208,6 @@ class LaurentPolynomial:
             return None
         i = self.table.index(name)
         return max(exps[i] for exps in self.terms)
-
-    def valuation(self, name):
-        """Smallest exponent of ``name``; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        i = self.table.index(name)
-        return min(exps[i] for exps in self.terms)
 
     def leading_term(self):
         """(exponents, coefficient) for the descending-lex leading term."""
@@ -345,12 +339,10 @@ class LaurentPolynomial:
             good, bad = {}, {}
             for exps, coeff in self.terms.items():
                 shifted = tuple(a - b for a, b in zip(exps, dexps))
-                try:
-                    self.table.check_exponents(shifted)
-                except ExponentError:
+                if self.table.allows(shifted):
+                    good[shifted] = coeff / dcoeff
+                else:
                     bad[exps] = coeff
-                    continue
-                good[shifted] = coeff / dcoeff
             if bad:
                 raise DivisionError(
                     "inexact division by monomial %s" % den,
@@ -383,12 +375,8 @@ class LaurentPolynomial:
             qexps = tuple(a - b for a, b in zip(rexps, dexps))
             if any(q < l or q > h for q, l, h in zip(qexps, lo, hi)):
                 raise DivisionError("inexact division: %s does not divide %s" % (den, self))
-            try:
-                self.table.check_exponents(qexps)
-            except ExponentError:
-                raise DivisionError(
-                    "inexact division: quotient leaves the ring"
-                ) from None
+            if not self.table.allows(qexps):
+                raise DivisionError("inexact division: quotient leaves the ring")
             qcoeff = rcoeff / dcoeff
             qterms[qexps] = qcoeff
             rem = rem - LaurentPolynomial(self.table, {qexps: qcoeff}) * den
@@ -555,12 +543,7 @@ def retabulate(poly, table):
     fresh variables get exponent zero.  Invertibility flags of the new table
     are enforced on the rebuilt exponents.
     """
-    positions = []
-    for name in poly.table.names:
-        try:
-            positions.append(table.index(name))
-        except KeyError:
-            positions.append(None)
+    positions = [table._index.get(name) for name in poly.table.names]
     terms = {}
     for exps, coeff in poly.terms.items():
         rebuilt = [0] * len(table)
@@ -611,14 +594,6 @@ class RingHomomorphism:
         self.source = source
         self.target = target
         self.images = tuple(resolved)
-
-    @classmethod
-    def identity(cls, table):
-        return cls(
-            table,
-            table,
-            {name: LaurentPolynomial.variable(table, name) for name in table.names},
-        )
 
     def __call__(self, poly):
         if poly.table != self.source:

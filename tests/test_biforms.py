@@ -34,12 +34,6 @@ from quadricbundles.rings import (
 )
 
 
-def constant_vector(coords):
-    return BiformVector(
-        tuple(LaurentPolynomial.constant(RST, c) for c in coords)
-    )
-
-
 def e(index):
     coords = [Fraction(0)] * 9
     coords[index] = Fraction(1)
@@ -193,9 +187,8 @@ class TestMembership:
         assert cert.coefficients[2] == parse("s^2*t^2", RST)
 
     def test_negative_control(self):
-        vector = BiformVector.monomial_times_constant(
-            parse("t^-1", RST), constant_vector(e(4)).coords
-        )
+        monomial = parse("t^-1", RST)
+        vector = BiformVector(tuple(monomial * c for c in e(4)))
         cert = membership(vector, local_module(1))
         assert not cert.member
         assert cert.offending == (4,)

@@ -8,12 +8,14 @@ from quadricbundles.bundles import (
     NoUnitCoefficientError,
     DiagonalQuadricBundle,
     base_table,
+    NORMAL_FORMS,
     discriminant,
+    equation_table,
     flatness_certificate,
     gram_rank_on_stratum,
     normal_form,
 )
-from quadricbundles.rings import LaurentPolynomial, parse
+from quadricbundles.rings import LaurentPolynomial, RingHomomorphism, parse
 
 # recomputed with the product oracle below before freezing
 EXPECTED_DISCRIMINANTS = {
@@ -44,6 +46,59 @@ def product_oracle(bundle):
     for c in bundle.coeffs:
         out = out * c
     return out
+
+
+def collapse_rank_oracle(bundle, zeroset):
+    """Gram rank by substituting 0 for the zeroset variables."""
+    table = base_table(bundle.n)
+    images = {
+        name: LaurentPolynomial.zero(table)
+        if int(name[1:]) in zeroset
+        else LaurentPolynomial.variable(table, name)
+        for name in table.names
+    }
+    collapse = RingHomomorphism(table, table, images)
+    return sum(1 for coeff in bundle.coeffs if not collapse(coeff).is_zero())
+
+
+def embed_equation_oracle(bundle):
+    """Defining biform, with the coefficients moved by an embedding."""
+    table = equation_table(bundle.n)
+    source = base_table(bundle.n)
+    embed = RingHomomorphism(
+        source,
+        table,
+        {name: LaurentPolynomial.variable(table, name) for name in source.names},
+    )
+    total = LaurentPolynomial.zero(table)
+    for coeff, letter in zip(bundle.coeffs, ("K", "L", "M", "N")):
+        total = total + embed(coeff) * LaurentPolynomial.variable(table, letter) ** 2
+    return total
+
+
+def entry_dimensions():
+    return [
+        (entry, n)
+        for entry in sorted(NORMAL_FORMS)
+        for n in range(MIN_DIMENSION[entry], MIN_DIMENSION[entry] + 4)
+    ]
+
+
+class TestAgainstHomomorphismOracles:
+    @pytest.mark.parametrize("entry,n", entry_dimensions())
+    def test_equation(self, entry, n):
+        bundle = normal_form(entry, n)
+        assert bundle.equation() == embed_equation_oracle(bundle)
+
+    @pytest.mark.parametrize("entry,n", entry_dimensions())
+    def test_rank_on_every_stratum(self, entry, n):
+        bundle = normal_form(entry, n)
+        indices = range(1, n + 1)
+        for size in range(n + 1):
+            for zeroset in itertools.combinations(indices, size):
+                assert gram_rank_on_stratum(bundle, set(zeroset)) == (
+                    collapse_rank_oracle(bundle, set(zeroset))
+                )
 
 
 class TestConstruction:

@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from quadricbundles import reports
+from quadricbundles import bundles, reports
 from quadricbundles.cli import main
 
 #: Product of the 25-digit primes 10^24 + 7 and 3*10^24 + 7.
@@ -53,6 +53,35 @@ class TestExitCodes:
         result = run_cli("verify-appendix", "--window", "2")
         assert result.returncode == 2
         assert "at least 4" in result.stderr
+
+    def test_verify_commands_take_entries_from_the_tables(self):
+        assert run_cli("verify-section5", "--entry", "1").returncode == 2
+        assert run_cli("verify-normal-forms", "--entry", "9").returncode == 2
+
+    def test_dim_only_applies_to_normal_forms(self):
+        result = run_cli("run", "section5", "--dim", "5")
+        assert result.returncode == 2
+        assert "--dim" in result.stderr
+
+    def test_dim_above_the_bound_fails_fast(self):
+        too_big = str(bundles.MAX_DIMENSION + 1)
+        started = time.perf_counter()
+        result = run_cli("verify-normal-forms", "--entry", "8", "--dim", too_big)
+        assert time.perf_counter() - started < 1.0
+        assert result.returncode == 2
+        assert run_cli("run", "normal-forms", "--dim", too_big).returncode == 2
+
+    def test_dim_at_the_bound_is_linear(self):
+        dim = str(bundles.MAX_DIMENSION)
+        started = time.perf_counter()
+        result = run_cli("verify-normal-forms", "--entry", "8", "--dim", dim)
+        assert time.perf_counter() - started < 1.0
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["dim"] == bundles.MAX_DIMENSION
+        started = time.perf_counter()
+        result = run_cli("run", "normal-forms", "--dim", dim)
+        assert time.perf_counter() - started < 2.0
+        assert result.returncode == 0
 
     def test_single_entry_runs(self, capsys):
         assert main(["run", "section5", "--entry", "4"]) == 0

@@ -10,13 +10,29 @@ from quadricbundles.covers import (
     cover_map,
     cover_table,
     generic_fiber_inverse,
-    identity_map,
     infer_sign_action,
     inverse_table,
     pullback_factorization,
     verify_projective_equivariance,
 )
-from quadricbundles.rings import parse
+from quadricbundles.rings import LaurentPolynomial, parse
+
+
+def trivial_cover(n):
+    """The trivial cover (entry 1): no doubled coordinates, letters fixed."""
+    table = cover_table(0, n)
+    return CoverMap(
+        entry=1,
+        m=0,
+        n=n,
+        base_images=tuple(
+            LaurentPolynomial.variable(table, "t%d" % i) for i in range(1, n + 1)
+        ),
+        proj_images=tuple(
+            LaurentPolynomial.variable(table, x) for x in ("A", "B", "C", "D")
+        ),
+    )
+
 
 # monomial factors recomputed by the substitution + exact-division oracle
 EXPECTED_FACTORS = {
@@ -146,7 +162,7 @@ class TestSignAction:
         assert gen.rescale == 1
 
     def test_identity_map_gives_trivial_character(self):
-        chi = infer_sign_action(identity_map(1))
+        chi = infer_sign_action(trivial_cover(1))
         assert chi.generators == ()
 
     @pytest.mark.parametrize("entry", range(2, 9))
@@ -215,7 +231,7 @@ class TestInverse:
         assert inv.verified
 
     def test_identity_inverse(self):
-        inv = generic_fiber_inverse(identity_map(1))
+        inv = generic_fiber_inverse(trivial_cover(1))
         t = inverse_table(0)
         assert inv.images == (parse("K", t), parse("L", t), parse("M", t), parse("N", t))
         assert inv.verified

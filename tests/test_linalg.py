@@ -11,10 +11,8 @@ from quadricbundles.linalg import (
     mat_vec,
     nullspace,
     rational_rank,
-    reduce_fraction,
     row_space,
     rref,
-    solve_linear,
 )
 from quadricbundles.rings import LaurentPolynomial, VariableTable, parse
 
@@ -53,67 +51,6 @@ class TestDeterminant:
     def test_singular_matrix_gives_zero(self):
         row = [parse("s", ST), parse("t", ST)]
         assert determinant([row, row]).is_zero()
-
-
-class TestSolveLinear:
-    def test_identity_system(self):
-        one = LaurentPolynomial.one(ST)
-        zero = LaurentPolynomial.zero(ST)
-        rhs = [parse("s^2 + t", ST), parse("3*t", ST)]
-        sol = solve_linear([[one, zero], [zero, one]], rhs)
-        assert sol == [(rhs[0], one), (rhs[1], one)]
-
-    def test_diagonal_monomial_system(self):
-        zero = LaurentPolynomial.zero(ST)
-        matrix = [[parse("s", ST), zero], [zero, parse("t", ST)]]
-        rhs = [parse("s^2", ST), parse("t^3", ST)]
-        sol = solve_linear(matrix, rhs)
-        assert sol == [
-            (parse("s", ST), LaurentPolynomial.one(ST)),
-            (parse("t^2", ST), LaurentPolynomial.one(ST)),
-        ]
-
-    def test_singular_system_raises(self):
-        row = [parse("s", ST), parse("s", ST)]
-        with pytest.raises(SingularMatrixError):
-            solve_linear([row, row], [parse("s", ST), parse("s", ST)])
-
-    def test_back_substitution_random(self):
-        rng = random.Random(23)
-        checked = 0
-        while checked < 10:
-            n = rng.choice((2, 3))
-            matrix = [[random_poly(rng, ST) for _ in range(n)] for _ in range(n)]
-            if determinant(matrix).is_zero():
-                continue
-            rhs = [random_poly(rng, ST) for _ in range(n)]
-            sol = solve_linear(matrix, rhs)
-            # clear denominators: sum_j M[i][j]*num_j*prod_{k!=j}den_k == rhs_i*prod_k den_k
-            dens = [den for _, den in sol]
-            full = dens[0]
-            for den in dens[1:]:
-                full = full * den
-            for i in range(n):
-                lhs = LaurentPolynomial.zero(ST)
-                for j, (num, den) in enumerate(sol):
-                    partial = matrix[i][j] * num
-                    for k, dk in enumerate(dens):
-                        if k != j:
-                            partial = partial * dk
-                    lhs = lhs + partial
-                assert lhs == rhs[i] * full
-            checked += 1
-
-
-class TestReduceFraction:
-    def test_monomial_content(self):
-        num, den = reduce_fraction(parse("s^2*t", ST), parse("s*t", ST))
-        assert (num, den) == (parse("s", ST), LaurentPolynomial.one(ST))
-
-    def test_sign_normalization(self):
-        num, den = reduce_fraction(parse("s", ST), parse("-s - 1", ST))
-        assert den == parse("s + 1", ST)
-        assert num == parse("-s", ST)
 
 
 class TestRationalMatrices:

@@ -31,6 +31,17 @@ def random_poly(rng, table, nterms=4, max_exp=3):
     return LaurentPolynomial(table, terms)
 
 
+class TestVariableTable:
+    def test_allows_matches_check_exponents(self):
+        for exps in [(0, 0), (2, -3), (-1, 0), (-1, -1), (1, 5)]:
+            assert ST.allows(exps) == (exps[0] >= 0)
+            if ST.allows(exps):
+                ST.check_exponents(exps)
+            else:
+                with pytest.raises(ExponentError, match="leave the ring"):
+                    ST.check_exponents(exps)
+
+
 class TestParsing:
     def test_base_quadric(self):
         p = parse("K^2 - L^2 + M^2 - N^2", KLMN)
@@ -145,7 +156,11 @@ class TestSubstitution:
         assert h(parse("t1*K^2", source)) == parse("s1^2*K^2", target)
 
     def test_identity(self):
-        h = RingHomomorphism.identity(KLMN)
+        h = RingHomomorphism(
+            KLMN,
+            KLMN,
+            {name: LaurentPolynomial.variable(KLMN, name) for name in KLMN.names},
+        )
         p = parse("K^2 - 3*L*M + N", KLMN)
         assert h(p) == p
 
@@ -191,6 +206,12 @@ class TestExactDivision:
         assert p.exact_div(q) == parse("s + 1", ST)
         with pytest.raises(DivisionError):
             parse("s^2 + 1", ST).exact_div(q)
+
+    def test_general_quotient_leaving_the_ring(self):
+        # the quotient s^-1 of (s + 1) / (s^2 + s) lies in the exponent box
+        # but needs s inverted
+        with pytest.raises(DivisionError, match="leaves the ring"):
+            parse("s + 1", ST).exact_div(parse("s^2 + s", ST))
 
     def test_inexact_in_fully_laurent_ring(self):
         XY = VariableTable(("x", "y"), invertible=("x", "y"))
