@@ -10,7 +10,6 @@ from .rings import (
     LaurentPolynomial,
     NonUnitError,
     ParseError,
-    QuotientElement,
     RingError,
     RingHomomorphism,
     TableMismatchError,
@@ -25,7 +24,6 @@ __all__ = [
     "LaurentPolynomial",
     "NonUnitError",
     "ParseError",
-    "QuotientElement",
     "RingError",
     "RingHomomorphism",
     "SingularMatrixError",

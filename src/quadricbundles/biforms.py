@@ -28,19 +28,15 @@ from .linalg import (
 )
 from .rings import (
     LaurentPolynomial,
-    QuotientElement,
     RingHomomorphism,
     VariableTable,
     parse,
-    retabulate,
+    reduce_mod_square,
 )
 
 #: Universal Laurent carrier for all scalar coordinates; each module declares
 #: which variables its own coefficient ring actually inverts.
 RST = VariableTable(("r", "s", "t"), invertible=("r", "s", "t"))
-
-#: The plain polynomial ring k[r, s, t], source of the curve substitution.
-RST_PLAIN = VariableTable(("r", "s", "t"))
 
 #: Homogeneous coordinates on the two projective lines.
 BIFORM_TABLE = VariableTable(("u", "v", "u'", "v'"))
@@ -97,12 +93,6 @@ class BiformVector:
 
     def __add__(self, other):
         return BiformVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return BiformVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,27 +453,23 @@ def curve_coordinates(spec):
 
     Generator ``mono(r, s, t) * form(u, v, u', v')`` is evaluated with
     ``r = spec.r`` and the biform letters replaced by the curve data, then
-    reduced to even/odd parts in the quotient by ``t^2 - modulus``.
+    reduced to an ``(even, odd)`` pair modulo ``t^2 - modulus``.
     """
-    target = intersection_module()
-    scalars = RingHomomorphism(
-        RST_PLAIN,
-        CURVE_TABLE,
-        {"r": spec.r, "s": parse("s", CURVE_TABLE), "t": parse("t", CURVE_TABLE)},
-    )
     letters = RingHomomorphism(
         BIFORM_TABLE,
         CURVE_TABLE,
         {"u": spec.u, "v": spec.v, "u'": spec.u_prime, "v'": spec.v_prime},
     )
     images = []
-    for monomial, form in target.gens:
-        form_poly = LaurentPolynomial.zero(BIFORM_TABLE)
-        for exps, coeff in zip(BIFORM_BASIS, form):
-            if coeff:
-                form_poly = form_poly + LaurentPolynomial(BIFORM_TABLE, {exps: coeff})
-        value = scalars(retabulate(monomial, RST_PLAIN)) * letters(form_poly)
-        images.append(QuotientElement.reduce(value, spec.modulus, "t"))
+    for monomial, form in intersection_module().gens:
+        (exps, coeff), = monomial.terms.items()
+        r_power, s_power, t_power = exps
+        scalar = spec.r ** r_power * LaurentPolynomial.monomial(
+            CURVE_TABLE, {"s": s_power, "t": t_power}, coeff
+        )
+        form_poly = LaurentPolynomial(BIFORM_TABLE, dict(zip(BIFORM_BASIS, form)))
+        value = scalar * letters(form_poly)
+        images.append(reduce_mod_square(value, spec.modulus, "t"))
     return images
 
 
@@ -512,20 +498,19 @@ def nonflatness_witness(spec):
     """
     images = curve_coordinates(spec)
     order = (0, 3, 4, 5)
-    base = images[order[0]]
-    residuals = tuple(
-        images[index] - _multiplier(name) * base
-        for index, name in zip(order[1:], ("alpha", "beta", "gamma"))
-    )
-    holds = all(residual.is_zero() for residual in residuals)
-    x0_nonzero = not base.is_zero()
+    base_even, base_odd = images[order[0]]
+    residuals = []
+    for index, name in zip(order[1:], ("alpha", "beta", "gamma")):
+        even, odd = images[index]
+        multiplier = _multiplier(name)
+        residuals.append((even - multiplier * base_even, odd - multiplier * base_odd))
+    holds = all(part.is_zero() for residual in residuals for part in residual)
+    x0_nonzero = not (base_even.is_zero() and base_odd.is_zero())
     return WitnessReport(
         gamma_exponent=spec.gamma_exponent,
         coordinate_order=order,
         identities_hold=holds,
         x0_nonzero=x0_nonzero,
-        residuals=tuple(
-            (str(res.even), str(res.odd)) for res in residuals
-        ),
+        residuals=tuple((str(even), str(odd)) for even, odd in residuals),
         passed=holds and x0_nonzero,
     )

@@ -340,27 +340,18 @@ def _validate_quadratic_d(d):
 
 @dataclass(frozen=True)
 class QuaternionClass:
-    """Brauer class of the quaternion algebra ``(a, b)``.
-
-    ``d`` is ``None`` over Q, or a squarefree nonsquare integer marking the
-    base field Q(sqrt(d)).
-    """
+    """Brauer class over Q of the quaternion algebra ``(a, b)``."""
 
     a: Fraction
     b: Fraction
-    d: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_nonzero_fraction(self.a, "a"))
         object.__setattr__(self, "b", _as_nonzero_fraction(self.b, "b"))
-        if self.d is not None:
-            object.__setattr__(self, "d", _validate_quadratic_d(self.d))
 
 
 def quaternion_is_split(q):
     """Splitting over Q, with the (even-sized) list of ramified places."""
-    if q.d is not None:
-        raise ValueError("splitting test implemented over Q only")
     ramified = [
         v for v in relevant_places([q.a, q.b]) if hilbert_symbol(q.a, q.b, v) == -1
     ]
@@ -401,8 +392,6 @@ def res_cor_doubling_check(beta, d):
     ``beta = (a, b)`` over Q restricts to the same symbol over the extension;
     the projection formula corestricts it to ``(a, b^2)``, which must split.
     """
-    if beta.d is not None:
-        raise ValueError("beta must be a class over Q")
     cor = corestriction_projection(beta.a, (beta.b, 0), d)
     split, _ = quaternion_is_split(cor)
     return split
@@ -636,8 +625,6 @@ def forms_similar(f, g):
 def albert_form(q1, q2):
     """Six-dimensional form attached to a pair of quaternion classes over Q:
     ``<a1, b1, -a1*b1, -a2, -b2, a2*b2>`` with square-class-reduced entries."""
-    if q1.d is not None or q2.d is not None:
-        raise ValueError("Albert forms are built from classes over Q")
     entries = (
         q1.a,
         q1.b,

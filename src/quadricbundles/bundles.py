@@ -90,6 +90,13 @@ class FlatnessCertificate:
     value: object
 
 
+def check_dimension(entry, n):
+    """Raise ``ValueError`` when ``n`` is below the minimum of ``entry``."""
+    minimum = MIN_DIMENSION[entry]
+    if n < minimum:
+        raise ValueError("entry %d needs base dimension >= %d, got %d" % (entry, minimum, n))
+
+
 def normal_form(entry, n=None):
     """The ``entry``-th normal form over a base of dimension ``n``.
 
@@ -98,11 +105,9 @@ def normal_form(entry, n=None):
     """
     if entry not in NORMAL_FORMS:
         raise ValueError("entry must be in 1..8, got %r" % (entry,))
-    minimum = MIN_DIMENSION[entry]
     if n is None:
-        n = minimum
-    if n < minimum:
-        raise ValueError("entry %d needs base dimension >= %d, got %d" % (entry, minimum, n))
+        n = MIN_DIMENSION[entry]
+    check_dimension(entry, n)
     table = base_table(n)
     coeffs = []
     for sign, indices in NORMAL_FORMS[entry]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -37,11 +38,27 @@ def _emit(payload, json_path, stream):
         print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
 
 
+#: Most digits a numerator or denominator may have on the command line, so
+#: that products of a few inputs stay printable and every query stays fast.
+MAX_RATIONAL_DIGITS = 1000
+
+_RATIONAL = re.compile(
+    r"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?" % (MAX_RATIONAL_DIGITS, MAX_RATIONAL_DIGITS)
+)
+
+
 def _parse_fraction(parser, text, label):
+    """``[+-]digits`` or ``[+-]digits/digits``, checked as text before any
+    arithmetic."""
+    if _RATIONAL.fullmatch(text) is None:
+        parser.error(
+            "%s must be a rational number like 3 or -5/7, with at most %d digits"
+            " above and below the bar" % (label, MAX_RATIONAL_DIGITS)
+        )
     try:
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        parser.error("%s must be a rational number like 3 or -5/7" % label)
+    except ZeroDivisionError:
+        parser.error("%s must have a nonzero denominator" % label)
     if value == 0:
         parser.error("%s must be nonzero" % label)
     return value
@@ -128,19 +145,25 @@ def _build_parser():
 
 
 def _validate_run(parser, args):
-    """Usage errors for ``--entry`` and ``--dim`` on suites that ignore them."""
+    """Usage errors for ``--entry`` and ``--dim`` on suites that ignore them,
+    and for a ``--dim`` below the minimum of an entry the suite would run."""
     if args.dim is not None and args.suite != "normal-forms":
         parser.error("--dim applies to the normal-forms suite")
-    if args.entry is None:
-        return
     entries = ENTRIES.get(args.suite)
-    if entries is None:
-        parser.error("--entry applies to the normal-forms and section5 suites")
-    if args.entry not in entries:
-        parser.error(
-            "%s entries are %d..%d, got %d"
-            % (args.suite, entries[0], entries[-1], args.entry)
-        )
+    if args.entry is not None:
+        if entries is None:
+            parser.error("--entry applies to the normal-forms and section5 suites")
+        if args.entry not in entries:
+            parser.error(
+                "%s entries are %d..%d, got %d"
+                % (args.suite, entries[0], entries[-1], args.entry)
+            )
+        entries = [args.entry]
+    if args.dim is not None:
+        try:
+            bundles.check_dimension(max(entries, key=bundles.MIN_DIMENSION.get), args.dim)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _exit_code(status):

@@ -20,6 +20,7 @@ from .rings import (
     DivisionError,
     LaurentPolynomial,
     RingHomomorphism,
+    TableMismatchError,
     VariableTable,
     retabulate,
 )
@@ -187,9 +188,6 @@ class GeneratorSigns:
 class SignCharacter:
     generators: tuple
 
-    def __len__(self):
-        return len(self.generators)
-
 
 def infer_sign_action(cover):
     """Signs on A..D making each generator rescale the map by a common factor.
@@ -223,13 +221,33 @@ def infer_sign_action(cover):
 
 
 def _generator_substitution(cover, gen, letter_signs):
-    """Homomorphism flipping ``s_{gen}`` and scaling letters by the signs."""
+    """Sign action flipping ``s_{gen}`` and scaling letters by the signs.
+
+    Every variable goes to plus or minus itself, so the action multiplies a
+    term with exponents ``e`` by ``prod(sign_v ** e_v)``: it negates exactly
+    the terms of odd total degree in the flipped variables.  Returns the
+    action as a function on polynomials over the cover table.
+    """
     table = cover.table
-    images = {name: LaurentPolynomial.variable(table, name) for name in table.names}
-    images["s%d" % gen] = -LaurentPolynomial.variable(table, "s%d" % gen)
+    flipped = [table.index("s%d" % gen)]
     for letter, sign in zip(LETTERS, letter_signs):
-        images[letter] = sign * LaurentPolynomial.variable(table, letter)
-    return RingHomomorphism(table, table, images)
+        if sign not in (1, -1):
+            raise ValueError("letter signs must be +1 or -1, got %r" % (sign,))
+        if sign == -1:
+            flipped.append(table.index(letter))
+
+    def act(poly):
+        if poly.table != table:
+            raise TableMismatchError("polynomial is not over the cover table")
+        return LaurentPolynomial(
+            table,
+            {
+                exps: -coeff if sum(exps[i] for i in flipped) % 2 else coeff
+                for exps, coeff in poly.terms.items()
+            },
+        )
+
+    return act
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,11 @@ def rational_rank(rows):
     return len(rref(rows)[1])
 
 
-def nullspace(rows):
-    """Basis of the right kernel ``{x : rows @ x = 0}``, canonical order."""
-    if not rows:
-        return []
-    cols = len(rows[0])
+def nullspace(rows, cols):
+    """Basis of the right kernel ``{x in Q^cols : rows @ x = 0}``, canonical
+    order; no rows give the full standard basis."""
+    if any(len(row) != cols for row in rows):
+        raise ValueError("rows must have %d entries" % cols)
     reduced, pivots = rref(rows)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -109,23 +109,8 @@ def intersect_row_spaces(spaces, dimension):
     Each subspace is replaced by its constraint set (a basis of its
     orthogonal complement); the intersection is the common kernel.
     """
-    constraints = []
-    for rows in spaces:
-        if rows:
-            constraints.extend(nullspace(rows))
-        else:
-            # the zero subspace is cut out by the full dual basis
-            for i in range(dimension):
-                vec = [Fraction(0)] * dimension
-                vec[i] = Fraction(1)
-                constraints.append(tuple(vec))
-    if not constraints:
-        identity = [
-            tuple(Fraction(1 if i == j else 0) for j in range(dimension))
-            for i in range(dimension)
-        ]
-        return row_space(identity)
-    return row_space(nullspace(constraints))
+    constraints = [vec for rows in spaces for vec in nullspace(rows, dimension)]
+    return row_space(nullspace(constraints, dimension))
 
 
 def invert_matrix(rows):
@@ -141,7 +126,3 @@ def invert_matrix(rows):
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
     return [row[n:] for row in reduced[:n]]
-
-
-def mat_vec(rows, vec):
-    return [sum(a * b for a, b in zip(row, vec)) for row in rows]

@@ -130,9 +130,7 @@ class LaurentPolynomial:
             if len(exps) != width:
                 raise ValueError("exponent vector %r has wrong width" % (exps,))
             table.check_exponents(exps)
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
-            if not clean[exps]:
-                del clean[exps]
+            clean[exps] = coeff
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -235,7 +233,7 @@ class LaurentPolynomial:
             return NotImplemented
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
+            acc = terms.get(exps, 0) + coeff
             if acc:
                 terms[exps] = acc
             else:
@@ -266,7 +264,7 @@ class LaurentPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exps, Fraction(0)) + c1 * c2
+                acc = terms.get(exps, 0) + c1 * c2
                 if acc:
                     terms[exps] = acc
                 else:
@@ -613,101 +611,39 @@ class RingHomomorphism:
         return result
 
 
-# -- quotient by t^2 - f ----------------------------------------------------
+# -- reduction modulo t^2 - f ----------------------------------------------
 
-class QuotientElement:
-    """Element of ``R[t] / (t^2 - f)`` stored as ``even + odd * t``.
+def reduce_mod_square(poly, modulus, var):
+    """Reduce a polynomial modulo ``var^2 - modulus``.
 
-    ``even``, ``odd`` and the modulus ``f`` are polynomials free of the
-    distinguished variable ``t`` (which must be non-invertible).
+    Returns ``(even, odd)``, both free of ``var``, with ``poly = even + odd *
+    var`` in ``R[var] / (var^2 - modulus)``.  ``poly`` and ``modulus`` share
+    one table, ``modulus`` must be free of ``var`` and ``var`` must not occur
+    with a negative exponent.
     """
-
-    __slots__ = ("even", "odd", "modulus", "var")
-
-    def __init__(self, even, odd, modulus, var):
-        table = even.table
-        if odd.table != table or modulus.table != table:
-            raise TableMismatchError("components over different tables")
-        for part, label in ((even, "even"), (odd, "odd"), (modulus, "modulus")):
-            if part.degree(var) not in (None, 0):
-                raise ValueError("%s part must be free of %r" % (label, var))
-        self.even = even
-        self.odd = odd
-        self.modulus = modulus
-        self.var = var
-
-    @classmethod
-    def reduce(cls, poly, modulus, var):
-        """Reduce a polynomial in ``var`` modulo ``var^2 - modulus``."""
-        if modulus.degree(var) not in (None, 0):
-            raise ValueError("modulus must be free of %r" % var)
-        table = poly.table
-        idx = table.index(var)
-        even = LaurentPolynomial.zero(table)
-        odd = LaurentPolynomial.zero(table)
-        for exps, coeff in poly.terms.items():
-            e = exps[idx]
-            if e < 0:
-                raise ExponentError("negative exponent on %r in quotient reduction" % var)
-            stripped = list(exps)
-            stripped[idx] = 0
-            base = LaurentPolynomial(table, {tuple(stripped): coeff})
-            k, parity = divmod(e, 2)
-            contrib = base * modulus ** k
-            if parity:
-                odd = odd + contrib
-            else:
-                even = even + contrib
-        return cls(even, odd, modulus, var)
-
-    def _check(self, other):
-        if not isinstance(other, QuotientElement):
-            raise TypeError("expected a QuotientElement")
-        if other.modulus != self.modulus or other.var != self.var:
-            raise ValueError("elements of different quotient rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuotientElement(
-            self.even + other.even, self.odd + other.odd, self.modulus, self.var
+    table = poly.table
+    if modulus.table != table:
+        raise TableMismatchError("polynomial and modulus over different tables")
+    if modulus.degree(var) not in (None, 0):
+        raise ValueError("modulus must be free of %r" % var)
+    idx = table.index(var)
+    # parts[parity][k]: terms of the coefficient of var^(2k + parity)
+    parts = ({}, {})
+    for exps, coeff in poly.terms.items():
+        e = exps[idx]
+        if e < 0:
+            raise ExponentError("negative exponent on %r in quotient reduction" % var)
+        k, parity = divmod(e, 2)
+        stripped = exps[:idx] + (0,) + exps[idx + 1:]
+        parts[parity].setdefault(k, {})[stripped] = coeff
+    powers = [LaurentPolynomial.one(table)]
+    top = max((k for part in parts for k in part), default=0)
+    while len(powers) <= top:
+        powers.append(powers[-1] * modulus)
+    return tuple(
+        sum(
+            (LaurentPolynomial(table, terms) * powers[k] for k, terms in part.items()),
+            LaurentPolynomial.zero(table),
         )
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuotientElement(
-            self.even - other.even, self.odd - other.odd, self.modulus, self.var
-        )
-
-    def __neg__(self):
-        return QuotientElement(-self.even, -self.odd, self.modulus, self.var)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPolynomial)):
-            return QuotientElement(
-                self.even * other, self.odd * other, self.modulus, self.var
-            )
-        self._check(other)
-        even = self.even * other.even + self.odd * other.odd * self.modulus
-        odd = self.even * other.odd + self.odd * other.even
-        return QuotientElement(even, odd, self.modulus, self.var)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.var == other.var
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __hash__(self):
-        return hash((self.even, self.odd, self.modulus, self.var))
-
-    def __str__(self):
-        return "(%s) + (%s)*%s" % (self.even, self.odd, self.var)
+        for part in parts
+    )

@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from quadricbundles import bundles, reports
+from quadricbundles import bundles, cli, reports
 from quadricbundles.cli import main
 
 #: Product of the 25-digit primes 10^24 + 7 and 3*10^24 + 7.
@@ -82,6 +82,17 @@ class TestExitCodes:
         result = run_cli("run", "normal-forms", "--dim", dim)
         assert time.perf_counter() - started < 2.0
         assert result.returncode == 0
+
+    def test_dim_below_the_minimum_is_a_usage_error(self):
+        for argv in (("--dim", "0"), ("--entry", "8", "--dim", "2")):
+            result = run_cli("run", "normal-forms", *argv)
+            assert result.returncode == 2
+            assert "needs base dimension >= 3" in result.stderr
+
+    def test_dim_at_the_minimum_runs(self, capsys):
+        assert main(["run", "normal-forms", "--entry", "1", "--dim", "0"]) == 0
+        assert main(["run", "normal-forms", "--dim", "3"]) == 0
+        capsys.readouterr()
 
     def test_single_entry_runs(self, capsys):
         assert main(["run", "section5", "--entry", "4"]) == 0
@@ -177,6 +188,29 @@ class TestSingleCommands:
         assert payload["albert_pair_form"] == "<3, 2, -6, -30, -42, 35>"
         assert payload["invariants"]["isotropy_form"]["disc"] == -1
         assert payload["consistent"]
+
+    def test_rationals_outside_the_accepted_forms_fail_fast(self):
+        too_long = "1" + "0" * cli.MAX_RATIONAL_DIGITS
+        calls = (
+            ("hilbert", "--a", "1e3000000", "--b", "3", "--place", "5"),
+            ("hilbert", "--a", "1e20000", "--b", "3", "--place", "5"),
+            ("hilbert", "--a", "1.5", "--b", "3", "--place", "5"),
+            ("hilbert", "--a", "3/0", "--b", "3", "--place", "5"),
+            ("albert", "--p", too_long, "--q", "5", "--r", "7", "--d", "2"),
+            ("albert", "--p", "3", "--q", "1/" + too_long, "--r", "7", "--d", "2"),
+        )
+        for argv in calls:
+            started = time.perf_counter()
+            result = run_cli("brauer", *argv)
+            assert time.perf_counter() - started < 1.0
+            assert result.returncode == 2, argv
+            assert "Traceback" not in result.stderr
+
+    def test_brauer_albert_at_the_digit_bound(self, capsys):
+        longest = "1" + "0" * (cli.MAX_RATIONAL_DIGITS - 1)
+        argv = ["brauer", "albert", "--p", longest, "--q", "3", "--r=-5/" + longest]
+        assert main(argv + ["--d", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == longest
 
     def test_brauer_albert_rejects_square_d(self):
         result = run_cli("brauer", "albert", "--p", "3", "--q", "5", "--r", "7", "--d", "4")

@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from quadricbundles.bundles import normal_form
 from quadricbundles.covers import (
+    LETTERS,
     CoverMap,
     FactorizationError,
     GeneratorSigns,
@@ -13,9 +18,15 @@ from quadricbundles.covers import (
     infer_sign_action,
     inverse_table,
     pullback_factorization,
+    _generator_substitution,
     verify_projective_equivariance,
 )
-from quadricbundles.rings import LaurentPolynomial, parse
+from quadricbundles.rings import (
+    LaurentPolynomial,
+    RingHomomorphism,
+    TableMismatchError,
+    parse,
+)
 
 
 def trivial_cover(n):
@@ -32,6 +43,24 @@ def trivial_cover(n):
             LaurentPolynomial.variable(table, x) for x in ("A", "B", "C", "D")
         ),
     )
+
+
+def substitution_oracle(cover, gen, letter_signs):
+    """Reference sign action: a substitution with an image for every variable."""
+    table = cover.table
+    images = {name: LaurentPolynomial.variable(table, name) for name in table.names}
+    images["s%d" % gen] = -LaurentPolynomial.variable(table, "s%d" % gen)
+    for letter, sign in zip(LETTERS, letter_signs):
+        images[letter] = sign * LaurentPolynomial.variable(table, letter)
+    return RingHomomorphism(table, table, images)
+
+
+def random_poly(rng, table, nterms=6, max_exp=3):
+    terms = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randint(0, max_exp) for _ in table.names)
+        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return LaurentPolynomial(table, terms)
 
 
 # monomial factors recomputed by the substitution + exact-division oracle
@@ -205,6 +234,28 @@ class TestEquivariance:
         report = verify_projective_equivariance(cm, bad)
         assert not report.passed
         assert report.failures
+
+
+class TestGeneratorSubstitution:
+    @pytest.mark.parametrize("entry", range(2, 9))
+    def test_term_signs_match_substitution_oracle(self, entry):
+        rng = random.Random(entry)
+        cm = cover_map(entry)
+        for gen in range(1, cm.m + 1):
+            for signs in product((1, -1), repeat=4):
+                act = _generator_substitution(cm, gen, signs)
+                oracle = substitution_oracle(cm, gen, signs)
+                for _ in range(4):
+                    poly = random_poly(rng, cm.table)
+                    assert act(poly) == oracle(poly)
+
+    def test_rejects_other_tables_and_signs(self):
+        cm = cover_map(4)
+        act = _generator_substitution(cm, 1, (1, 1, -1, -1))
+        with pytest.raises(TableMismatchError):
+            act(parse("s1", cover_table(2, 3)))
+        with pytest.raises(ValueError):
+            _generator_substitution(cm, 1, (1, 2, 1, 1))
 
 
 class TestInverse:

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every module it imports is its own or in the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,37 @@ def test_detects_an_unused_import():
 def test_counts_re_exports_as_used():
     source = "from .rings import parse\n__all__ = ['parse']\n"
     assert unused_imports(source) == []
+
+
+def non_stdlib_imports(source):
+    """(line, module) of each absolute import outside the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found.extend(
+            (node.lineno, module)
+            for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names
+        )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_third_party_import():
+    source = (
+        "import os.path, numpy as np\n"
+        "from . import rings\n"
+        "from .linalg import rref\n"
+        "from sympy.ntheory import factorint\n"
+        "from __future__ import annotations\n"
+    )
+    assert non_stdlib_imports(source) == [(1, "numpy"), (4, "sympy.ntheory")]

@@ -8,7 +8,6 @@ from quadricbundles.linalg import (
     determinant,
     intersect_row_spaces,
     invert_matrix,
-    mat_vec,
     nullspace,
     rational_rank,
     row_space,
@@ -62,13 +61,19 @@ class TestRationalMatrices:
 
     def test_nullspace_orthogonality(self):
         rows = [[1, 2, 3], [0, 1, 1]]
-        for vec in nullspace(rows):
+        for vec in nullspace(rows, 3):
             assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+    def test_nullspace_of_no_rows_is_everything(self):
+        e = lambda *xs: tuple(Fraction(x) for x in xs)
+        assert nullspace([], 3) == [e(1, 0, 0), e(0, 1, 0), e(0, 0, 1)]
+        with pytest.raises(ValueError):
+            nullspace([[1, 2]], 3)
 
     def test_invert_matrix(self):
         m = [[2, 1], [1, 1]]
         inv = invert_matrix(m)
-        assert mat_vec(inv, [1, 0]) == [Fraction(1), Fraction(-1)]
+        assert [sum(a * b for a, b in zip(row, [1, 0])) for row in inv] == [1, -1]
         with pytest.raises(SingularMatrixError):
             invert_matrix([[1, 1], [1, 1]])
 
@@ -80,3 +85,4 @@ class TestRationalMatrices:
         assert intersect_row_spaces([a, []], 3) == []
         full = intersect_row_spaces([row_space(a + b), row_space(a + b)], 3)
         assert len(full) == 3
+        assert intersect_row_spaces([], 3) == [e(1, 0, 0), e(0, 1, 0), e(0, 0, 1)]

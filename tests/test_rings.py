@@ -9,11 +9,11 @@ from quadricbundles.rings import (
     LaurentPolynomial,
     NonUnitError,
     ParseError,
-    QuotientElement,
     RingHomomorphism,
     TableMismatchError,
     VariableTable,
     parse,
+    reduce_mod_square,
 )
 
 KLMN = VariableTable(("K", "L", "M", "N"))
@@ -235,6 +235,24 @@ class TestExactDivision:
             assert (a * b).exact_div(b) == a
 
 
+def pair_product(x, y, f):
+    """Product of ``e1 + o1*t`` and ``e2 + o2*t`` in ``R[t] / (t^2 - f)``."""
+    (e1, o1), (e2, o2) = x, y
+    return (e1 * e2 + o1 * o2 * f, e1 * o2 + o1 * e2)
+
+
+def termwise_reduction(poly, f, var):
+    """Reference reduction: each term on its own, ``t^(2k+j) = f^k * t^j``."""
+    table = poly.table
+    idx = table.index(var)
+    parts = [LaurentPolynomial.zero(table), LaurentPolynomial.zero(table)]
+    for exps, coeff in poly.terms.items():
+        k, parity = divmod(exps[idx], 2)
+        stripped = exps[:idx] + (0,) + exps[idx + 1:]
+        parts[parity] = parts[parity] + LaurentPolynomial(table, {stripped: coeff}) * f ** k
+    return tuple(parts)
+
+
 class TestQuotientAlgebra:
     TAB = VariableTable(("s", "t"))
 
@@ -243,20 +261,17 @@ class TestQuotientAlgebra:
 
     def test_defining_relation(self):
         f = self.modulus()
-        t2 = QuotientElement.reduce(parse("t^2", self.TAB), f, "t")
-        assert t2.even == f and t2.odd.is_zero()
-        t3 = QuotientElement.reduce(parse("t^3", self.TAB), f, "t")
-        assert t3.even.is_zero() and t3.odd == f
+        assert reduce_mod_square(parse("t^2", self.TAB), f, "t") == (f, 0)
+        assert reduce_mod_square(parse("t^3", self.TAB), f, "t") == (0, f)
 
     def test_norm_form(self):
         f = self.modulus()
         a = parse("s + 2", self.TAB)
         b = parse("3*s", self.TAB)
         t = parse("t", self.TAB)
-        one = LaurentPolynomial.one(self.TAB)
-        prod = QuotientElement.reduce((a * one + b * t) * (a * one - b * t), f, "t")
-        assert prod.even == a * a - b * b * f
-        assert prod.odd.is_zero()
+        even, odd = reduce_mod_square((a + b * t) * (a - b * t), f, "t")
+        assert even == a * a - b * b * f
+        assert odd.is_zero()
 
     def test_reduce_is_multiplicative(self):
         rng = random.Random(3)
@@ -265,10 +280,28 @@ class TestQuotientAlgebra:
         for _ in range(25):
             p = random_poly(rng, tab, nterms=4, max_exp=3)
             q = random_poly(rng, tab, nterms=4, max_exp=3)
-            lhs = QuotientElement.reduce(p * q, f, "t")
-            rhs = QuotientElement.reduce(p, f, "t") * QuotientElement.reduce(q, f, "t")
+            lhs = reduce_mod_square(p * q, f, "t")
+            rhs = pair_product(
+                reduce_mod_square(p, f, "t"), reduce_mod_square(q, f, "t"), f
+            )
             assert lhs == rhs
+
+    def test_matches_termwise_reduction(self):
+        rng = random.Random(5)
+        f = parse("s^3 - 2*s + 1/3", self.TAB)
+        for _ in range(25):
+            p = random_poly(rng, self.TAB, nterms=6, max_exp=7)
+            assert reduce_mod_square(p, f, "t") == termwise_reduction(p, f, "t")
 
     def test_modulus_must_avoid_variable(self):
         with pytest.raises(ValueError):
-            QuotientElement.reduce(parse("t", self.TAB), parse("t", self.TAB), "t")
+            reduce_mod_square(parse("t", self.TAB), parse("t", self.TAB), "t")
+
+    def test_modulus_over_the_same_table(self):
+        with pytest.raises(TableMismatchError):
+            reduce_mod_square(parse("t", self.TAB), parse("s", ST), "t")
+
+    def test_negative_exponent_rejected(self):
+        tab = VariableTable(("s", "t"), invertible=("t",))
+        with pytest.raises(ExponentError):
+            reduce_mod_square(parse("s + t^-1", tab), parse("s", tab), "t")
