@@ -20,10 +20,10 @@ from functools import cache, cached_property
 from itertools import product
 
 from .linalg import (
+    SingularMatrixError,
     determinant,
-    intersect_row_spaces,
     invert_matrix,
-    rational_rank,
+    nullspace,
     row_space,
 )
 from .rings import (
@@ -101,7 +101,8 @@ class MonomialScaledModule:
 
     ``ring`` declares which of r, s, t the coefficient ring inverts; the nine
     constant forms are a basis of the biform space, so membership reduces to
-    one change of basis plus a Laurent support check.
+    one change of basis plus a Laurent support check.  The change of basis
+    is inverted on construction, which is also the basis check.
     """
 
     name: str
@@ -111,8 +112,10 @@ class MonomialScaledModule:
     def __post_init__(self):
         if len(self.gens) != 9:
             raise ValueError("expected nine generators")
-        if rational_rank([list(form) for _, form in self.gens]) != 9:
-            raise ValueError("constant forms of %s are not a basis" % self.name)
+        try:
+            self.basis_inverse
+        except SingularMatrixError:
+            raise ValueError("constant forms of %s are not a basis" % self.name) from None
 
     @cached_property
     def basis_inverse(self):
@@ -304,6 +307,25 @@ def freeness_certificate():
     return FreenessReport(passed=not det.is_zero(), det=det)
 
 
+def _allowed_generators(module, exponents):
+    """Indices j of the generators ``mono_j * form_j`` for which ``m /
+    mono_j`` lies in the coefficient ring, ``m = r^a s^b t^c``."""
+    allowed = []
+    for j, (monomial, _) in enumerate(module.gens):
+        (mono_exps, _), = monomial.terms.items()
+        quotient = tuple(e - me for e, me in zip(exponents, mono_exps))
+        if module.ring.allows(quotient):
+            allowed.append(j)
+    return tuple(allowed)
+
+
+@cache
+def _span(module, allowed):
+    """Canonical basis of the span of the constant forms with index in
+    ``allowed``; built once per module and subset."""
+    return tuple(row_space([module.gens[j][1] for j in allowed]))
+
+
 def graded_subspace(module, exponents):
     """Subspace of constant biforms w with ``m * w`` in the module, for the
     monomial ``m = r^a s^b t^c``.
@@ -312,18 +334,24 @@ def graded_subspace(module, exponents):
     module basis>_j``, so coordinate j may be nonzero exactly when
     ``m / mono_j`` lies in the coefficient ring.
     """
-    allowed_rows = []
-    for monomial, form in module.gens:
-        (mono_exps, _), = monomial.terms.items()
-        quotient = tuple(e - me for e, me in zip(exponents, mono_exps))
-        if module.ring.allows(quotient):
-            allowed_rows.append(list(form))
-    return row_space(allowed_rows)
+    return list(_span(module, _allowed_generators(module, exponents)))
 
 
 def intersection_subspace(exponents):
-    spaces = [graded_subspace(local_module(i), exponents) for i in (1, 2, 3)]
-    return intersect_row_spaces(spaces, 9)
+    """Canonical basis of the intersection of the three local graded pieces.
+
+    Row j of a module's ``basis_inverse`` takes coordinate j in the basis of
+    constant forms, so the rows outside the allowed subset cut out exactly
+    the span of the allowed forms; the intersection is their common kernel.
+    """
+    constraints = []
+    for i in (1, 2, 3):
+        module = local_module(i)
+        allowed = _allowed_generators(module, exponents)
+        constraints.extend(
+            row for j, row in enumerate(module.basis_inverse) if j not in allowed
+        )
+    return row_space(nullspace(constraints, 9))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Exact linear algebra: fraction-free elimination over polynomial rings and
-plain Gaussian elimination over the rationals.
+integer-preserving row reduction of rational matrices.
 
 The Bareiss determinant works over any
 :class:`~quadricbundles.rings.VariableTable`; exactness of the interior
 divisions is the classical fraction-free elimination guarantee for integral
-domains.  The rational routines operate on lists of ``Fraction`` rows and are
-used for constant-coefficient change-of-basis and subspace computations.
+domains.  The rational routines take rows of ints or ``Fraction``s, reduce
+them over the integers and return ``Fraction`` rows; they serve the
+constant-coefficient change-of-basis and subspace computations.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .rings import LaurentPolynomial, RingError
@@ -50,9 +52,27 @@ def determinant(rows):
 
 # -- rational matrices -------------------------------------------------------
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _integer_row(row):
+    """An integer multiple of a row of ints or Fractions, made primitive."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+
+
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Gauss-Jordan elimination over the integers: each row is cleared of
+    denominators, each updated row is divided by the gcd of its entries, and
+    the pivot rows are scaled to a leading 1 as ``Fraction`` rows only at the
+    end.  The result is the canonical reduced form over Q, zero rows last.
+    """
+    m = [_integer_row(row) for row in rows]
     if not m:
         return [], []
     cols = len(m[0])
@@ -63,17 +83,19 @@ def rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([p * a - f * b for a, b in zip(m[i], top)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    reduced.extend([Fraction(0)] * cols for _ in range(len(m) - r))
+    return reduced, pivots
 
 
 def row_space(rows):
@@ -103,25 +125,12 @@ def nullspace(rows, cols):
     return basis
 
 
-def intersect_row_spaces(spaces, dimension):
-    """Canonical basis of the intersection of row spaces inside Q^dimension.
-
-    Each subspace is replaced by its constraint set (a basis of its
-    orthogonal complement); the intersection is the common kernel.
-    """
-    constraints = [vec for rows in spaces for vec in nullspace(rows, dimension)]
-    return row_space(nullspace(constraints, dimension))
-
-
 def invert_matrix(rows):
     """Exact inverse of a square rational matrix."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    augmented = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     reduced, pivots = rref(augmented)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")

@@ -257,6 +257,10 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LaurentPolynomial(
+                self.table, {exps: coeff * other for exps, coeff in self.terms.items()}
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -565,10 +569,11 @@ class RingHomomorphism:
     ``images`` maps every source variable name to a polynomial over the
     target table (strings are parsed).  The image of an invertible source
     variable must be a unit, so that negative exponents can be pushed
-    forward.
+    forward.  Powers of the images are cached on the instance, so that every
+    polynomial it maps shares them.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_powers")
 
     def __init__(self, source, target, images):
         resolved = []
@@ -592,21 +597,22 @@ class RingHomomorphism:
         self.source = source
         self.target = target
         self.images = tuple(resolved)
+        self._powers = {}
 
     def __call__(self, poly):
         if poly.table != self.source:
             raise TableMismatchError("polynomial is not over the source table")
         result = LaurentPolynomial.zero(self.target)
-        power_cache = {}
+        powers = self._powers
         for exps, coeff in poly.terms.items():
-            term = LaurentPolynomial.constant(self.target, coeff)
+            term = coeff
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
                 key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = self.images[i] ** e
-                term = term * power_cache[key]
+                if key not in powers:
+                    powers[key] = self.images[i] ** e
+                term = term * powers[key]
             result = result + term
         return result
 

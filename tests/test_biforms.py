@@ -1,7 +1,11 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from test_linalg import intersect_row_spaces
 
 from quadricbundles import biforms
 from quadricbundles.biforms import (
@@ -39,6 +43,14 @@ def e(index):
     return tuple(coords)
 
 
+def local_intersection_oracle(exponents):
+    """Intersection of the three local graded pieces from the kernel of each
+    piece, independent of the constraint rows ``intersection_subspace``
+    takes from the inverse change of basis."""
+    spaces = [graded_subspace(local_module(i), exponents) for i in (1, 2, 3)]
+    return intersect_row_spaces(spaces, 9)
+
+
 def brute_force_graded_intersection(window):
     """Reference for verify_graded_intersection: compare at every monomial of
     the window, and probe one step past its boundary in each variable."""
@@ -48,7 +60,7 @@ def brute_force_graded_intersection(window):
     saturated = True
     span = range(window + 1)
     for exponents in product(span, repeat=3):
-        lhs = intersection_subspace(exponents)
+        lhs = local_intersection_oracle(exponents)
         rhs = graded_subspace(target, exponents)
         checked += 1
         if lhs != rhs:
@@ -58,7 +70,7 @@ def brute_force_graded_intersection(window):
                 beyond = list(exponents)
                 beyond[axis] += 1
                 beyond = tuple(beyond)
-                if intersection_subspace(beyond) != lhs:
+                if local_intersection_oracle(beyond) != lhs:
                     saturated = False
                 if graded_subspace(target, beyond) != rhs:
                     saturated = False
@@ -147,6 +159,12 @@ class TestModuleData:
         for index, invertible in flags.items():
             assert local_module(index).ring.invertible == invertible
         assert intersection_module().ring.invertible == (False, False, False)
+
+    def test_dependent_forms_are_not_a_basis(self):
+        m1 = local_module(1)
+        gens = (m1.gens[1],) + m1.gens[1:]
+        with pytest.raises(ValueError, match="not a basis"):
+            MonomialScaledModule(name="degenerate", ring=m1.ring, gens=gens)
 
     def test_change_of_basis_solves_coordinates(self):
         # coordinates of u*v*u'*v' in the constant-form basis of M3
@@ -292,6 +310,12 @@ class TestGradedIntersection:
                 stacked = [list(row) for row in up] + [list(row) for row in base]
                 assert rational_rank(stacked) == len(up)
 
+    def test_constraint_rows_match_kernel_oracle(self):
+        for exponents in product(range(6), repeat=3):
+            assert intersection_subspace(exponents) == local_intersection_oracle(
+                exponents
+            ), exponents
+
     def test_window_equality(self):
         report = verify_graded_intersection(4)
         assert report.passed
@@ -338,6 +362,41 @@ class TestGradedIntersection:
         assert not report.saturated
         assert not report.passed
         assert report.checked == 125
+
+
+#: Counts the eliminations of one ``run_appendix(window=6)`` in a fresh
+#: process, so that every cache starts empty.
+WORK_COUNT = """
+import json
+from quadricbundles import biforms, linalg, reports
+
+calls = 0
+rref = linalg.rref
+
+
+def counted(rows):
+    global calls
+    calls += 1
+    return rref(rows)
+
+
+linalg.rref = counted
+reports.run_appendix(window=6)
+print(json.dumps({"rref": calls, "spans": biforms._span.cache_info().misses}))
+"""
+
+
+class TestWorkCount:
+    def test_fresh_appendix_row_reductions(self):
+        result = subprocess.run(
+            [sys.executable, "-c", WORK_COUNT], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        counts = json.loads(result.stdout)
+        # one kernel and one row space per clamp class (27 of them), the
+        # spans of the free module and four inverse changes of basis
+        assert counts["rref"] <= 80
+        assert counts["spans"] <= 21
 
 
 class TestNonflatness:

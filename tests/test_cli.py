@@ -198,6 +198,9 @@ class TestSingleCommands:
             ("hilbert", "--a", "3/0", "--b", "3", "--place", "5"),
             ("albert", "--p", too_long, "--q", "5", "--r", "7", "--d", "2"),
             ("albert", "--p", "3", "--q", "1/" + too_long, "--r", "7", "--d", "2"),
+            ("albert", "--p", "3", "--q", "5", "--r", "7", "--d", "2" + too_long[1:]),
+            ("albert", "--p", "3", "--q", "5", "--r", "7", "--d", "3/2"),
+            ("albert", "--p", "3", "--q", "5", "--r", "7", "--d", "0"),
         )
         for argv in calls:
             started = time.perf_counter()

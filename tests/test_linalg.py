@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quadricbundles import linalg
 from quadricbundles.linalg import (
     SingularMatrixError,
     determinant,
-    intersect_row_spaces,
     invert_matrix,
     nullspace,
     rational_rank,
@@ -29,6 +31,49 @@ def naive_determinant(rows):
         term = rows[0][j] * naive_determinant(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan elimination on ``Fraction`` rows: the oracle for the
+    integer elimination of ``linalg.rref``."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    cols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def with_oracle(fn, *args):
+    """``fn(*args)`` with every elimination done by :func:`fraction_rref`."""
+    with mock.patch.object(linalg, "rref", fraction_rref):
+        return fn(*args)
+
+
+def intersect_row_spaces(spaces, dimension):
+    """Canonical basis of the intersection of row spaces inside Q^dimension.
+
+    Each subspace is replaced by its constraint set (a basis of its
+    orthogonal complement); the intersection is the common kernel.
+    """
+    constraints = [vec for rows in spaces for vec in nullspace(rows, dimension)]
+    return row_space(nullspace(constraints, dimension))
 
 
 def random_poly(rng, table, nterms=2, max_exp=2):
@@ -86,3 +131,68 @@ class TestRationalMatrices:
         full = intersect_row_spaces([row_space(a + b), row_space(a + b)], 3)
         assert len(full) == 3
         assert intersect_row_spaces([], 3) == [e(1, 0, 0), e(0, 1, 0), e(0, 0, 1)]
+
+
+#: Fractions with up to 25-digit denominators.
+LARGE_ENTRIES = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**25))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Matrices of width 1..12 with small entries (zero and negative pivots
+    among them) and up to three large ones; then up to three rows are
+    replaced by a zero row, a negated row or a combination of two rows, so
+    that every rank occurs."""
+    cols = draw(st.integers(1, 12))
+    count = cols if square else draw(st.integers(0, 12))
+    size = cols * count
+    nums = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3, 7)), min_size=size, max_size=size))
+    rows = [
+        [Fraction(n, d) for n, d in zip(nums[k:k + cols], dens[k:k + cols])]
+        for k in range(0, size, cols)
+    ]
+    if not rows:
+        return rows
+    cells = st.tuples(st.integers(0, count - 1), st.integers(0, cols - 1))
+    for i, j in draw(st.lists(cells, max_size=3)):
+        rows[i][j] = draw(LARGE_ENTRIES)
+    for i in draw(st.lists(st.integers(0, count - 1), max_size=3)):
+        kind = draw(st.sampled_from(("zero", "negated", "combination")))
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if kind == "zero":
+            rows[i] = [0] * cols
+        elif kind == "negated":
+            rows[i] = [-x for x in a]
+        else:
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows[i] = [c * x + d * y for x, y in zip(a, b)]
+    return rows
+
+
+ORACLE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestIntegerEliminationOracle:
+    @ORACLE_SETTINGS
+    @given(rational_matrices())
+    def test_rref_rank_and_kernel_match_fraction_elimination(self, rows):
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == fraction_rref(rows)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert rational_rank(rows) == len(pivots)
+        if rows:
+            cols = len(rows[0])
+            assert nullspace(rows, cols) == with_oracle(nullspace, rows, cols)
+
+    @ORACLE_SETTINGS
+    @given(rational_matrices(square=True))
+    def test_inverse_matches_fraction_elimination(self, rows):
+        try:
+            expected = with_oracle(invert_matrix, rows)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                invert_matrix(rows)
+        else:
+            assert invert_matrix(rows) == expected
+

@@ -136,6 +136,12 @@ class TestArithmetic:
         assert 2 * p == parse("2*s", ST)
         assert p * Fraction(1, 2) == parse("1/2*s", ST)
         assert p - 1 == parse("s - 1", ST)
+        rng = random.Random(11)
+        for _ in range(40):
+            q = random_poly(rng, ST)
+            for c in (0, -3, Fraction(-7, 4)):
+                assert q * c == q * LaurentPolynomial.constant(ST, c) == c * q
+                assert (q * c).table == ST
 
     def test_constants_hash_like_their_value(self):
         three = LaurentPolynomial.constant(ST, 3)
