@@ -354,6 +354,11 @@ def intersection_subspace(exponents):
     return row_space(nullspace(constraints, 9))
 
 
+#: Smallest window the graded check accepts, and its default: exponents 0..4
+#: of each of r, s and t.
+MIN_WINDOW = 4
+
+
 @dataclass(frozen=True)
 class GradedEqualityReport:
     passed: bool
@@ -378,7 +383,7 @@ def _clamp_bound(modules):
     return tuple(bound)
 
 
-def verify_graded_intersection(window=4):
+def verify_graded_intersection(window=MIN_WINDOW):
     """Monomial-by-monomial equality of the intersection with the free module.
 
     Both sides split as direct sums over (r, s, t)-monomials of subspaces of
@@ -396,8 +401,8 @@ def verify_graded_intersection(window=4):
     class is reported at each window monomial that falls into it, in
     lexicographic (a, b, c) order.
     """
-    if window < 4:
-        raise ValueError("window must cover exponents 0..4, got %d" % window)
+    if window < MIN_WINDOW:
+        raise ValueError("window must cover exponents 0..%d, got %d" % (MIN_WINDOW, window))
     target = intersection_module()
     bound = _clamp_bound([local_module(i) for i in (1, 2, 3)] + [target])
     failing = {}
@@ -428,6 +433,11 @@ def verify_graded_intersection(window=4):
 CURVE_TABLE = VariableTable(("s", "t", "alpha", "beta", "gamma"), invertible=("gamma",))
 
 
+#: Powers of gamma the last modulus term may carry: the printed -1 and the
+#: hand-derived -2.
+GAMMA_EXPONENTS = (-1, -2)
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Substitution data for the witness curve.
@@ -446,22 +456,16 @@ class CurveSpec:
     modulus: LaurentPolynomial
 
 
-def witness_curve(gamma_exponent, drop_modulus_term=None):
-    """The witness curve with the chosen gamma exponent in the modulus.
-
-    ``drop_modulus_term`` removes one of the four modulus terms (0..3); used
-    only as a negative control.
-    """
-    if gamma_exponent not in (-1, -2):
-        raise ValueError("gamma exponent must be -1 or -2")
+def witness_curve(gamma_exponent):
+    """The witness curve with the chosen gamma exponent in the modulus."""
+    if gamma_exponent not in GAMMA_EXPONENTS:
+        raise ValueError("gamma exponent must be in %s, got %r" % (GAMMA_EXPONENTS, gamma_exponent))
     terms = [
         "-1/16*s^4*alpha^2",
         "-1/16*s^2*beta^2",
         "1/16*s^2*gamma^2",
         "1/16*s^4*alpha^2*beta^2*gamma^%d" % gamma_exponent,
     ]
-    if drop_modulus_term is not None:
-        del terms[drop_modulus_term]
     modulus = LaurentPolynomial.zero(CURVE_TABLE)
     for text in terms:
         modulus = modulus + parse(text, CURVE_TABLE)

@@ -475,32 +475,22 @@ def forms_equivalent(f, g):
     )
 
 
-def _locally_isotropic(form, place):
-    inv = form_invariants(form)
-    n = form.dim
+def _locally_isotropic(inv, place, epsilon):
+    """Isotropy at ``place`` of a form of dimension 3 or 4 with invariants
+    ``inv`` and Hasse invariant ``epsilon`` there."""
     if place.is_real:
         pos, neg = inv.signature
         return pos > 0 and neg > 0
-    if n >= 5:
-        return True
-    epsilon = hasse_invariant(form, place)
-    d = inv.disc
-    if n == 3:
-        return hilbert_symbol(-1, -d, place) == epsilon
-    if n == 4:
-        if not is_local_square(d, place):
-            return True
-        return epsilon == hilbert_symbol(-1, -1, place)
-    if n == 2:
-        return is_local_square(-d, place)
-    return False
+    if inv.dim == 3:
+        return hilbert_symbol(-1, -inv.disc, place) == epsilon
+    return not is_local_square(inv.disc, place) or epsilon == hilbert_symbol(-1, -1, place)
 
 
 def is_isotropic(form):
     """Does the form represent zero nontrivially over Q?
 
-    Local-global principle: dimensions 2..4 are checked at the real place and
-    the primes dividing the entries (elsewhere the local conditions hold
+    Local-global principle: dimensions 3 and 4 are checked at the real place
+    and the primes dividing the entries (elsewhere the local conditions hold
     automatically); dimension >= 5 is isotropic at every finite place, so
     only indefiniteness at the real place matters.
     """
@@ -513,7 +503,7 @@ def is_isotropic(form):
         return pos > 0 and neg > 0
     if n == 2:
         return inv.disc == -1
-    return all(_locally_isotropic(form, v) for v in relevant_places(form.diag))
+    return all(_locally_isotropic(inv, place, epsilon) for place, epsilon in inv.hasse)
 
 
 def is_isotropic_over_quadratic(form, d):

@@ -15,13 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import brauer, bundles, covers, reports
-
-#: ``--entry`` values of the suites that take one.
-ENTRIES = {
-    "normal-forms": sorted(bundles.NORMAL_FORMS),
-    "section5": sorted(covers.COVER_SPECS),
-}
+from . import biforms, brauer, bundles, reports
 
 
 def _write_json(path, payload):
@@ -38,11 +32,12 @@ def _emit(payload, json_path, stream):
         print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
 
 
-#: Most digits a numerator or denominator may have on the command line, so
-#: that products of a few inputs stay printable and every query stays fast.
-#: The slowest input at the bound is a smooth ``albert --d``, whose prime
-#: factors are all found by trial division: the 997-digit product of the
-#: primes up to 2351 takes about 1.3 s on a 2-vCPU VM.
+#: Most digits an integer, numerator or denominator may have on the command
+#: line, so that products of a few inputs stay printable and every query
+#: stays fast.  The slowest input at the bound is a smooth ``albert --d``,
+#: whose prime factors are all found by trial division: the 997-digit
+#: product of the primes up to 2351 takes about 1 s in a fresh process on a
+#: 2-vCPU VM.
 MAX_RATIONAL_DIGITS = 1000
 
 _SIGNED_DIGITS = r"[+-]?[0-9]{1,%d}" % MAX_RATIONAL_DIGITS
@@ -50,53 +45,18 @@ _INTEGER = re.compile(_SIGNED_DIGITS)
 _RATIONAL = re.compile(r"%s(?:/[0-9]{1,%d})?" % (_SIGNED_DIGITS, MAX_RATIONAL_DIGITS))
 
 
-def _parse_fraction(parser, text, label):
-    """``[+-]digits`` or ``[+-]digits/digits``, checked as text before any
-    arithmetic."""
-    if _RATIONAL.fullmatch(text) is None:
-        parser.error(
-            "%s must be a rational number like 3 or -5/7, with at most %d digits"
-            " above and below the bar" % (label, MAX_RATIONAL_DIGITS)
-        )
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        parser.error("%s must have a nonzero denominator" % label)
-    if value == 0:
-        parser.error("%s must be nonzero" % label)
-    return value
-
-
-def _parse_integer(parser, text, label):
-    """``[+-]digits``, checked as text, and nonzero."""
-    if _INTEGER.fullmatch(text) is None:
-        parser.error(
-            "%s must be an integer like 3 or -5, with at most %d digits"
-            % (label, MAX_RATIONAL_DIGITS)
-        )
-    return int(_parse_fraction(parser, text, label))
-
-
-def _parse_place(parser, text):
-    if text == "real":
-        return brauer.REAL
-    try:
-        return brauer.Place.prime(int(text))
-    except brauer.FactorizationBoundError as exc:
-        parser.error(str(exc))
-    except ValueError:
-        parser.error("place must be 'real' or a prime number")
-
-
-def _bounded_int(low, high=None):
-    """argparse type: an integer of at least ``low`` and at most ``high``."""
+def _integer(low=None, high=None):
+    """argparse type: ``[+-]digits``, checked as text before any arithmetic,
+    then at least ``low`` and at most ``high`` where given."""
 
     def convert(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("must be an integer, got %r" % text) from None
-        if value < low:
+        if _INTEGER.fullmatch(text) is None:
+            raise argparse.ArgumentTypeError(
+                "must be an integer like 3 or -5, with at most %d digits"
+                % MAX_RATIONAL_DIGITS
+            )
+        value = int(text)
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
         if high is not None and value > high:
             raise argparse.ArgumentTypeError("must be at most %d, got %d" % (high, value))
@@ -105,10 +65,49 @@ def _bounded_int(low, high=None):
     return convert
 
 
-#: ``--window``: the graded check needs at least 4 and is constant-time above.
-_window = _bounded_int(4)
+#: ``--seed``, ``--entry`` and ``--d``: any integer of at most
+#: ``MAX_RATIONAL_DIGITS`` digits.
+_any_integer = _integer()
+#: ``--window``: the graded check needs the floor and is constant-time above.
+_window = _integer(biforms.MIN_WINDOW)
 #: ``--dim``: every normal-form computation is linear in the dimension.
-_dim = _bounded_int(0, bundles.MAX_DIMENSION)
+_dim = _integer(0, bundles.MAX_DIMENSION)
+
+
+def _rational(text):
+    """argparse type: ``[+-]digits`` or ``[+-]digits/digits``, checked as
+    text before any arithmetic, and nonzero."""
+    if _RATIONAL.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(
+            "must be a rational number like 3 or -5/7, with at most %d digits"
+            " above and below the bar" % MAX_RATIONAL_DIGITS
+        )
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("must have a nonzero denominator") from None
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return value
+
+
+def _place(text):
+    """argparse type: ``real`` or a prime, read as an integer."""
+    if text == "real":
+        return brauer.REAL
+    try:
+        return brauer.Place.prime(_any_integer(text))
+    except brauer.FactorizationBoundError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except (argparse.ArgumentTypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            "must be 'real' or a prime number, with at most %d digits"
+            % MAX_RATIONAL_DIGITS
+        ) from None
+
+
+#: ``--gamma-exp``: a fixed exponent of the witness modulus, or both.
+_GAMMA_CHOICES = tuple(str(e) for e in biforms.GAMMA_EXPONENTS) + ("auto",)
 
 
 def _build_parser():
@@ -120,41 +119,53 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run one verification suite or all of them")
     run.add_argument("suite", choices=reports.SUITES + ("all",))
-    run.add_argument("--seed", type=int, default=reports.DEFAULT_SEED)
-    run.add_argument("--window", type=_window, default=reports.DEFAULT_WINDOW)
-    run.add_argument("--gamma-exp", choices=("-1", "-2", "auto"), default="auto")
-    run.add_argument("--entry", type=int, default=None)
+    run.add_argument("--seed", type=_any_integer, default=reports.DEFAULT_SEED)
+    run.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
+    run.add_argument("--gamma-exp", choices=_GAMMA_CHOICES, default="auto")
+    run.add_argument("--entry", type=_any_integer, default=None)
     run.add_argument("--dim", type=_dim, default=None)
     run.add_argument("--json", dest="json_path", default=None)
 
     nf = sub.add_parser("verify-normal-forms", help="one normal form, as JSON")
-    nf.add_argument("--entry", type=int, required=True, choices=ENTRIES["normal-forms"])
+    nf.add_argument(
+        "--entry", type=_any_integer, required=True, choices=reports.ENTRIES["normal-forms"]
+    )
     nf.add_argument("--dim", type=_dim, default=None)
     nf.add_argument("--json", dest="json_path", default=None)
 
     s5 = sub.add_parser("verify-section5", help="one cover map, as JSON")
-    s5.add_argument("--entry", type=int, required=True, choices=ENTRIES["section5"])
+    s5.add_argument(
+        "--entry", type=_any_integer, required=True, choices=reports.ENTRIES["section5"]
+    )
     s5.add_argument("--json", dest="json_path", default=None)
 
     ap = sub.add_parser("verify-appendix", help="biform-module computations")
-    ap.add_argument("--window", type=_window, default=reports.DEFAULT_WINDOW)
-    ap.add_argument("--gamma-exp", choices=("-1", "-2", "auto"), default="auto")
+    ap.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
+    ap.add_argument("--gamma-exp", choices=_GAMMA_CHOICES, default="auto")
     ap.add_argument("--json", dest="json_path", default=None)
 
     br = sub.add_parser("brauer", help="quaternion and quadratic form reports")
     brsub = br.add_subparsers(dest="brauer_command", required=True)
     hil = brsub.add_parser("hilbert", help="one Hilbert symbol, formula and oracle")
-    hil.add_argument("--a", required=True)
-    hil.add_argument("--b", required=True)
-    hil.add_argument("--place", required=True)
+    hil.add_argument("--a", type=_rational, required=True)
+    hil.add_argument("--b", type=_rational, required=True)
+    hil.add_argument("--place", type=_place, required=True)
     hil.add_argument("--json", dest="json_path", default=None)
     alb = brsub.add_parser("albert", help="Albert form report for one descent instance")
-    alb.add_argument("--p", required=True)
-    alb.add_argument("--q", required=True)
-    alb.add_argument("--r", required=True)
-    alb.add_argument("--d", required=True)
+    alb.add_argument("--p", type=_rational, required=True)
+    alb.add_argument("--q", type=_rational, required=True)
+    alb.add_argument("--r", type=_rational, required=True)
+    alb.add_argument("--d", type=_any_integer, required=True)
     alb.add_argument("--json", dest="json_path", default=None)
     return parser
+
+
+def _check_dimension(parser, entries, dim):
+    """Usage error for a ``dim`` below the minimum of an entry that would run."""
+    try:
+        bundles.check_dimension(max(entries, key=bundles.MIN_DIMENSION.get), dim)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _validate_run(parser, args):
@@ -162,7 +173,7 @@ def _validate_run(parser, args):
     and for a ``--dim`` below the minimum of an entry the suite would run."""
     if args.dim is not None and args.suite != "normal-forms":
         parser.error("--dim applies to the normal-forms suite")
-    entries = ENTRIES.get(args.suite)
+    entries = reports.ENTRIES.get(args.suite)
     if args.entry is not None:
         if entries is None:
             parser.error("--entry applies to the normal-forms and section5 suites")
@@ -173,10 +184,7 @@ def _validate_run(parser, args):
             )
         entries = [args.entry]
     if args.dim is not None:
-        try:
-            bundles.check_dimension(max(entries, key=bundles.MIN_DIMENSION.get), args.dim)
-        except ValueError as exc:
-            parser.error(str(exc))
+        _check_dimension(parser, entries, args.dim)
 
 
 def _exit_code(status):
@@ -235,10 +243,9 @@ def main(argv=None):
         return _run_command(parser, args)
 
     if args.command == "verify-normal-forms":
-        try:
-            payload = reports.normal_form_item(args.entry, args.dim)
-        except ValueError as exc:
-            parser.error(str(exc))
+        if args.dim is not None:
+            _check_dimension(parser, [args.entry], args.dim)
+        payload = reports.normal_form_item(args.entry, args.dim)
         _emit(payload, args.json_path, sys.stdout)
         return 0
 
@@ -255,9 +262,7 @@ def main(argv=None):
 
     if args.command == "brauer":
         if args.brauer_command == "hilbert":
-            a = _parse_fraction(parser, args.a, "--a")
-            b = _parse_fraction(parser, args.b, "--b")
-            place = _parse_place(parser, args.place)
+            a, b, place = args.a, args.b, args.place
             symbol = brauer.hilbert_symbol(a, b, place)
             try:
                 search = brauer.hilbert_symbol_search(a, b, place)
@@ -274,10 +279,7 @@ def main(argv=None):
             _emit(payload, args.json_path, sys.stdout)
             return 0 if symbol == search else 1
         if args.brauer_command == "albert":
-            p = _parse_fraction(parser, args.p, "--p")
-            q = _parse_fraction(parser, args.q, "--q")
-            r = _parse_fraction(parser, args.r, "--r")
-            d = _parse_integer(parser, args.d, "--d")
+            p, q, r, d = args.p, args.q, args.r, args.d
             try:
                 report = brauer.verify_quaternion_descent_instance(p, q, r, d)
             except ValueError as exc:
@@ -288,7 +290,7 @@ def main(argv=None):
                 "r": str(r),
                 "d": d,
                 "pair": [
-                    [str(p), str(Fraction(d))],
+                    [str(p), str(d)],
                     [str(report.residual_class.a), str(report.residual_class.b)],
                 ],
                 "isotropy_form": str(report.isotropy_form),

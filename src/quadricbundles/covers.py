@@ -136,17 +136,15 @@ def base_quadric(table):
     return total
 
 
-def pullback_factorization(cover, bundle=None):
-    """Factor the pulled-back bundle equation as ``monomial * residual``.
+def pullback_factorization(cover):
+    """Factor the pulled-back equation of normal form ``cover.entry`` over
+    dimension ``cover.n`` as ``monomial * residual``.
 
     The residual must be exactly ``A^2 - B^2 + C^2 - D^2`` and the monomial a
     square monomial in the ``s_i`` with coefficient 1; anything else raises
     :class:`FactorizationError`.
     """
-    if bundle is None:
-        bundle = normal_form(cover.entry, cover.n)
-    if bundle.n != cover.n:
-        raise ValueError("bundle and cover have different base dimensions")
+    bundle = normal_form(cover.entry, cover.n)
     pulled = cover.homomorphism()(bundle.equation())
     table = cover.table
     a_index = table.index("A")

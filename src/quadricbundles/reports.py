@@ -19,7 +19,12 @@ from . import biforms, brauer, bundles, covers
 SUITES = ("normal-forms", "section5", "brauer", "appendix")
 
 DEFAULT_SEED = 7
-DEFAULT_WINDOW = 4
+
+#: Entries each suite runs, and the ``--entry`` values it takes.
+ENTRIES = {
+    "normal-forms": sorted(bundles.NORMAL_FORMS),
+    "section5": sorted(covers.COVER_SPECS),
+}
 
 #: Sampling floors for the randomized brauer checks.
 SYMBOL_SAMPLES = 500
@@ -70,7 +75,7 @@ def normal_form_item(entry, dim=None):
 
 
 def run_normal_forms(entry=None, dim=None):
-    entries = [entry] if entry is not None else list(range(1, 9))
+    entries = [entry] if entry is not None else ENTRIES["normal-forms"]
     items = []
     failures = 0
     for k in entries:
@@ -119,7 +124,7 @@ def section5_item(entry):
 
 
 def run_section5(entry=None):
-    entries = [entry] if entry is not None else list(range(2, 9))
+    entries = [entry] if entry is not None else ENTRIES["section5"]
     items = []
     failures = 0
     for k in entries:
@@ -141,11 +146,11 @@ def run_section5(entry=None):
 
 # -- brauer arithmetic --------------------------------------------------------
 
-def _random_rational(rng, bound=40, max_den=8):
+def _random_rational(rng):
     num = 0
     while num == 0:
-        num = rng.randint(-bound, bound)
-    return Fraction(num, rng.randint(1, max_den))
+        num = rng.randint(-40, 40)
+    return Fraction(num, rng.randint(1, 8))
 
 
 def _random_place(rng):
@@ -155,19 +160,13 @@ def _random_place(rng):
     return brauer.Place.prime(ORACLE_PRIMES[choice - 1])
 
 
-def run_brauer(
-    seed=DEFAULT_SEED,
-    symbol_samples=SYMBOL_SAMPLES,
-    product_samples=PRODUCT_SAMPLES,
-    doubling_samples=DOUBLING_SAMPLES,
-    descent_samples=DESCENT_SAMPLES,
-):
+def run_brauer(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     items = []
     failures = 0
 
     disagreements = []
-    for _ in range(symbol_samples):
+    for _ in range(SYMBOL_SAMPLES):
         a, b = _random_rational(rng), _random_rational(rng)
         place = _random_place(rng)
         formula = brauer.hilbert_symbol(a, b, place)
@@ -178,13 +177,13 @@ def run_brauer(
     items.append(
         {
             "check": "hilbert-symbol-vs-search-oracle",
-            "samples": symbol_samples,
+            "samples": SYMBOL_SAMPLES,
             "disagreements": disagreements,
         }
     )
 
     product_failures = []
-    for _ in range(product_samples):
+    for _ in range(PRODUCT_SAMPLES):
         a, b = _random_rational(rng), _random_rational(rng)
         product = 1
         for place in brauer.relevant_places([a, b]):
@@ -195,13 +194,13 @@ def run_brauer(
     items.append(
         {
             "check": "global-product-formula",
-            "samples": product_samples,
+            "samples": PRODUCT_SAMPLES,
             "failures": product_failures,
         }
     )
 
     doubling_failures = []
-    for _ in range(doubling_samples):
+    for _ in range(DOUBLING_SAMPLES):
         beta = brauer.QuaternionClass(_random_rational(rng), _random_rational(rng))
         d = rng.choice(SQUAREFREE_POOL)
         if not brauer.res_cor_doubling_check(beta, d):
@@ -210,14 +209,14 @@ def run_brauer(
     items.append(
         {
             "check": "restriction-corestriction-doubling",
-            "samples": doubling_samples,
+            "samples": DOUBLING_SAMPLES,
             "failures": doubling_failures,
         }
     )
 
     descent_details = []
     inconsistent = 0
-    for _ in range(descent_samples):
+    for _ in range(DESCENT_SAMPLES):
         p = rng.choice([1, -1, 2, 3, -3, 5, 7, -7, 10, 11])
         q = rng.choice([1, -1, 2, 3, -3, 5, 7, -7, 10, 11])
         r = rng.choice([1, -1, 2, 3, -3, 5, 7, -7, 10, 11])
@@ -242,7 +241,7 @@ def run_brauer(
     items.append(
         {
             "check": "quaternion-descent-instances",
-            "samples": descent_samples,
+            "samples": DESCENT_SAMPLES,
             "inconsistent": inconsistent,
             "details": descent_details,
         }
@@ -287,7 +286,7 @@ def _witness_payload(report):
     }
 
 
-def run_appendix(window=DEFAULT_WINDOW, gamma_exp="auto"):
+def run_appendix(window=biforms.MIN_WINDOW, gamma_exp="auto"):
     items = []
     failures = 0
     attention = False
@@ -340,7 +339,8 @@ def run_appendix(window=DEFAULT_WINDOW, gamma_exp="auto"):
 
     if gamma_exp == "auto":
         exponent_reports = {
-            e: biforms.nonflatness_witness(biforms.witness_curve(e)) for e in (-2, -1)
+            e: biforms.nonflatness_witness(biforms.witness_curve(e))
+            for e in biforms.GAMMA_EXPONENTS
         }
         passing = [e for e, rep in exponent_reports.items() if rep.passed]
         if passing == [-2]:
@@ -413,7 +413,7 @@ def run_appendix(window=DEFAULT_WINDOW, gamma_exp="auto"):
 
 # -- orchestration ------------------------------------------------------------
 
-def run_suite(name, seed=DEFAULT_SEED, window=DEFAULT_WINDOW, gamma_exp="auto",
+def run_suite(name, seed=DEFAULT_SEED, window=biforms.MIN_WINDOW, gamma_exp="auto",
               entry=None, dim=None):
     if name == "normal-forms":
         return run_normal_forms(entry=entry, dim=dim)
@@ -434,7 +434,7 @@ def aggregate_status(statuses):
     return "pass"
 
 
-def run_all(seed=DEFAULT_SEED, window=DEFAULT_WINDOW, gamma_exp="auto"):
+def run_all(seed=DEFAULT_SEED, window=biforms.MIN_WINDOW, gamma_exp="auto"):
     suites = [
         run_suite(name, seed=seed, window=window, gamma_exp=gamma_exp)
         for name in SUITES

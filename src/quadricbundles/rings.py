@@ -153,9 +153,9 @@ class LaurentPolynomial:
         return cls.constant(table, 1)
 
     @classmethod
-    def variable(cls, table, name, power=1):
+    def variable(cls, table, name):
         exps = [0] * len(table)
-        exps[table.index(name)] = power
+        exps[table.index(name)] = 1
         return cls(table, {tuple(exps): Fraction(1)})
 
     @classmethod

@@ -125,13 +125,7 @@ def test_criterion_6_nonflatness_witness():
 
 def test_criterion_7_brauer_suite():
     def body():
-        payload = reports.run_brauer(
-            seed=7,
-            symbol_samples=500,
-            product_samples=200,
-            doubling_samples=100,
-            descent_samples=20,
-        )
+        payload = reports.run_brauer(seed=7)
         checks = {item["check"]: item for item in payload["items"]}
         symbols = checks["hilbert-symbol-vs-search-oracle"]
         assert symbols["samples"] >= 500

@@ -46,6 +46,44 @@ def random_rational(rng, bound=40, max_den=8):
     return Fraction(num, rng.randint(1, max_den))
 
 
+def previous_locally_isotropic(form, place):
+    """Local isotropy as first written: every invariant recomputed at each
+    place, with branches for every dimension."""
+    inv = form_invariants(form)
+    n = form.dim
+    if place.is_real:
+        pos, neg = inv.signature
+        return pos > 0 and neg > 0
+    if n >= 5:
+        return True
+    epsilon = hasse_invariant(form, place)
+    d = inv.disc
+    if n == 3:
+        return hilbert_symbol(-1, -d, place) == epsilon
+    if n == 4:
+        if not is_local_square(d, place):
+            return True
+        return epsilon == hilbert_symbol(-1, -1, place)
+    if n == 2:
+        return is_local_square(-d, place)
+    return False
+
+
+def previous_is_isotropic(form):
+    """Oracle for ``is_isotropic``: the version built on
+    ``previous_locally_isotropic``."""
+    n = form.dim
+    if n == 1:
+        return False
+    inv = form_invariants(form)
+    pos, neg = inv.signature
+    if n >= 5:
+        return pos > 0 and neg > 0
+    if n == 2:
+        return inv.disc == -1
+    return all(previous_locally_isotropic(form, v) for v in relevant_places(form.diag))
+
+
 class TestSquareClasses:
     def test_squarefree_part(self):
         assert squarefree_part(12) == 3
@@ -244,6 +282,19 @@ class TestForms:
                     break
             if witness is not None:
                 assert is_isotropic(form), (form, witness)
+
+    def test_isotropy_matches_the_previous_version(self):
+        rng = random.Random(52)
+        outcomes = {dim: set() for dim in range(1, 7)}
+        for _ in range(3000):
+            dim = rng.randint(1, 6)
+            form = RationalQuadraticForm(tuple(random_rational(rng) for _ in range(dim)))
+            isotropic = is_isotropic(form)
+            assert isotropic == previous_is_isotropic(form), form
+            outcomes[dim].add(isotropic)
+        # both answers occur in every dimension that admits both
+        assert outcomes[1] == {False}
+        assert all(outcomes[dim] == {False, True} for dim in range(2, 7))
 
     def test_anisotropic_four_dimensional(self):
         # the norm form of the Hamilton quaternions

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -12,6 +14,84 @@ from quadricbundles.cli import main
 
 #: Product of the 25-digit primes 10^24 + 7 and 3*10^24 + 7.
 SEMIPRIME = "3000000000000000000000028000000000000000000000049"
+
+
+#: Largest integer text every integer flag accepts, and one digit more.
+LONGEST = "9" * cli.MAX_RATIONAL_DIGITS
+TOO_LONG = "9" * (cli.MAX_RATIONAL_DIGITS + 1)
+#: Smooth numbers at and past the digit bound, which factor at once.
+SMOOTH = "1" + "0" * (cli.MAX_RATIONAL_DIGITS - 1)
+SMOOTH_TOO_LONG = SMOOTH + "0"
+#: The 997-digit product of the primes up to 2351: a squarefree ``--d``
+#: whose factors trial division finds one by one, the slowest legal ``--d``.
+PRIMORIAL_2351 = str(
+    math.prod(p for p in range(2, 2352) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+)
+
+MAX_DIM = str(bundles.MAX_DIMENSION)
+PAST_DIM = str(bundles.MAX_DIMENSION + 1)
+HILBERT = ("brauer", "hilbert")
+ALBERT = ("brauer", "albert")
+
+#: Every argument of every subcommand: the rest of a command line, the
+#: largest legal value and one past it (None for ``--json``, a path of any
+#: text).  The legal value must exit 0 or 1, the one past it 2.
+BOUNDS = {
+    (("run",), "suite"): ([], "all", "everything"),
+    (("run",), "--seed"): (["brauer"], LONGEST, TOO_LONG),
+    (("run",), "--window"): (["appendix"], LONGEST, TOO_LONG),
+    (("run",), "--gamma-exp"): (["appendix"], "-2", "-3"),
+    (("run",), "--entry"): (["section5"], "8", "9"),
+    (("run",), "--dim"): (["normal-forms"], MAX_DIM, PAST_DIM),
+    (("run",), "--json"): (["section5"], "report.json", None),
+    (("verify-normal-forms",), "--entry"): ([], "8", "9"),
+    (("verify-normal-forms",), "--dim"): (["--entry", "8"], MAX_DIM, PAST_DIM),
+    (("verify-normal-forms",), "--json"): (["--entry", "8"], "report.json", None),
+    (("verify-section5",), "--entry"): ([], "8", "9"),
+    (("verify-section5",), "--json"): (["--entry", "8"], "report.json", None),
+    (("verify-appendix",), "--window"): ([], LONGEST, TOO_LONG),
+    (("verify-appendix",), "--gamma-exp"): ([], "-2", "-3"),
+    (("verify-appendix",), "--json"): ([], "report.json", None),
+    (HILBERT, "--a"): (["--b", "3", "--place", "5"], "-%s/%s7" % (LONGEST, LONGEST[1:]), TOO_LONG),
+    (HILBERT, "--b"): (["--a", "3", "--place", "5"], LONGEST, "1/" + TOO_LONG),
+    (HILBERT, "--place"): (["--a", "2", "--b", "3"], "53", "59"),
+    (HILBERT, "--json"): (["--a", "2", "--b", "3", "--place", "5"], "report.json", None),
+    (ALBERT, "--p"): (["--q", "3", "--r", "5", "--d", "2"], SMOOTH, SMOOTH_TOO_LONG),
+    (ALBERT, "--q"): (["--p", "3", "--r", "5", "--d", "2"], "-" + SMOOTH, SMOOTH_TOO_LONG),
+    (ALBERT, "--r"): (["--p", "3", "--q", "5", "--d", "2"], "5/" + SMOOTH, "5/" + SMOOTH_TOO_LONG),
+    (ALBERT, "--d"): (["--p", "3", "--q", "5", "--r", "7"], PRIMORIAL_2351, SMOOTH_TOO_LONG),
+    (ALBERT, "--json"): (["--p", "3", "--q", "5", "--r", "7", "--d", "2"], "report.json", None),
+}
+
+
+def parser_arguments(parser, command=()):
+    """``(command, name, action)`` for every argument of every subparser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parser_arguments(sub, command + (name,))
+        elif not isinstance(action, argparse._HelpAction):
+            yield command, (action.option_strings or [action.dest])[0], action
+
+
+def untabled(parser):
+    return {(command, name) for command, name, _ in parser_arguments(parser)} - set(BOUNDS)
+
+
+def command_line(key, value):
+    command, name = key
+    rest = BOUNDS[key][0]
+    if name.startswith("--"):
+        return [*command, *rest, "%s=%s" % (name, value)]
+    return [*command, value, *rest]
+
+
+def exit_code(argv):
+    """``main(argv)`` in-process, with usage errors caught as exit 2."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_cli(*argv):
@@ -247,13 +327,10 @@ class TestReports:
         jsonschema.validate(payload, reports.REPORT_SCHEMA)
 
     def test_brauer_report_is_seed_deterministic(self):
-        a = reports.run_brauer(seed=11, symbol_samples=40, product_samples=20,
-                               doubling_samples=10, descent_samples=5)
-        b = reports.run_brauer(seed=11, symbol_samples=40, product_samples=20,
-                               doubling_samples=10, descent_samples=5)
+        a = reports.run_brauer(seed=11)
+        b = reports.run_brauer(seed=11)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        c = reports.run_brauer(seed=12, symbol_samples=40, product_samples=20,
-                               doubling_samples=10, descent_samples=5)
+        c = reports.run_brauer(seed=12)
         assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
     def test_json_file_roundtrip(self, tmp_path, capsys):
@@ -272,3 +349,58 @@ class TestReports:
         # canonical order sorts terms by exponent vector, so the t-bearing
         # terms of entry 7 come before the constant-coefficient M^2 term
         assert "t1*t2*t3*K^2 - t2*L^2 - t3*N^2 + M^2" in equations
+
+
+class TestDeclaredInputs:
+    def test_every_argument_is_in_the_bound_table(self):
+        assert untabled(cli._build_parser()) == set()
+
+    def test_an_untabled_argument_is_found(self):
+        parser = cli._build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        subparsers.choices["verify-section5"].add_argument("--dummy")
+        assert untabled(parser) == {(("verify-section5",), "--dummy")}
+
+    def test_every_argument_has_a_shared_reader_or_choices(self):
+        readers = {cli._any_integer, cli._window, cli._dim, cli._rational, cli._place}
+        for command, name, action in parser_arguments(cli._build_parser()):
+            if name == "--json":
+                assert action.type is None and action.choices is None
+            else:
+                assert action.type in readers or (action.type is None and action.choices), (
+                    command,
+                    name,
+                )
+
+    @pytest.mark.parametrize("key", sorted(BOUNDS), ids=lambda key: " ".join((*key[0], key[1])))
+    def test_largest_legal_value_and_one_past_it(self, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _, legal, past = BOUNDS[key]
+        for value, codes in ((legal, {0, 1}), (past, {2})):
+            if value is None:
+                continue
+            started = time.perf_counter()
+            code = exit_code(command_line(key, value))
+            elapsed = time.perf_counter() - started
+            capsys.readouterr()
+            assert code in codes, (value[:20], code)
+            assert elapsed < 2.0, (value[:20], elapsed)
+
+    @pytest.mark.parametrize("text", ["0_7", " 7", "7 ", "+0_7"])
+    def test_integer_text_beyond_the_digits_is_a_usage_error(self, text, capsys):
+        integer_readers = {cli._any_integer, cli._window, cli._dim, cli._place}
+        for command, name, action in parser_arguments(cli._build_parser()):
+            if action.type in integer_readers:
+                argv = command_line((command, name), text)
+                assert exit_code(argv) == 2, argv
+                assert "argument %s" % name in capsys.readouterr().err
+
+    def test_verify_normal_forms_passes_library_errors_through(self, monkeypatch):
+        def broken(entry, dim):
+            raise ValueError("not a usage error")
+
+        monkeypatch.setattr(reports, "normal_form_item", broken)
+        with pytest.raises(ValueError, match="not a usage error"):
+            main(["verify-normal-forms", "--entry", "4"])

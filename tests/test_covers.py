@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -153,9 +154,9 @@ class TestPullback:
         assert residual == base_quadric(cm.table)
 
     def test_mismatched_bundle_fails(self):
-        cm = cover_map(2)
+        # the map of entry 2 read as a map onto the bundle of entry 3
         with pytest.raises(FactorizationError):
-            pullback_factorization(cm, normal_form(3))
+            pullback_factorization(replace(cover_map(2), entry=3))
 
     def test_corrupted_map_fails(self):
         good = cover_map(2)
