@@ -128,16 +128,12 @@ class MonomialScaledModule:
         return BiformVector(tuple(monomial * c for c in form))
 
 
-def _monomial(text):
-    return parse(text, RST)
-
-
 def _module(name, inverted, gens):
     ring = VariableTable(("r", "s", "t"), invertible=inverted)
     return MonomialScaledModule(
         name=name,
         ring=ring,
-        gens=tuple((_monomial(mono), form) for mono, form in gens),
+        gens=tuple((parse(mono, RST), form) for mono, form in gens),
     )
 
 
@@ -515,10 +511,6 @@ class WitnessReport:
     passed: bool
 
 
-def _multiplier(name):
-    return parse(name, CURVE_TABLE)
-
-
 def nonflatness_witness(spec):
     """Check the projective identities forced along the witness curve.
 
@@ -534,7 +526,7 @@ def nonflatness_witness(spec):
     residuals = []
     for index, name in zip(order[1:], ("alpha", "beta", "gamma")):
         even, odd = images[index]
-        multiplier = _multiplier(name)
+        multiplier = parse(name, CURVE_TABLE)
         residuals.append((even - multiplier * base_even, odd - multiplier * base_odd))
     holds = all(part.is_zero() for residual in residuals for part in residual)
     x0_nonzero = not (base_even.is_zero() and base_odd.is_zero())

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import isqrt
 
@@ -143,10 +143,6 @@ class Place:
             object.__setattr__(self, "p", p)
 
     @classmethod
-    def real(cls):
-        return cls(None)
-
-    @classmethod
     def prime(cls, p):
         return cls(p)
 
@@ -161,7 +157,7 @@ class Place:
         return "real" if self.is_real else str(self.p)
 
 
-REAL = Place.real()
+REAL = Place()
 
 
 def _as_nonzero_fraction(x, label="value"):
@@ -415,9 +411,19 @@ class RationalQuadraticForm:
     def dim(self):
         return len(self.diag)
 
-    def scaled(self, c):
-        c = _as_nonzero_fraction(c, "scaling factor")
-        return RationalQuadraticForm(tuple(c * x for x in self.diag))
+    @cached_property
+    def signature(self):
+        """Counts ``(positive, negative)`` of the diagonal entries."""
+        pos = sum(1 for x in self.diag if x > 0)
+        return pos, self.dim - pos
+
+    @cached_property
+    def disc(self):
+        """Signed squarefree integer of the discriminant's square class."""
+        product = Fraction(1)
+        for x in self.diag:
+            product *= x
+        return squarefree_part(product)
 
     def __str__(self):
         return "<%s>" % ", ".join(str(x) for x in self.diag)
@@ -445,21 +451,10 @@ def hasse_invariant(form, place):
 
 
 def form_invariants(form):
-    product = Fraction(1)
-    pos = neg = 0
-    for x in form.diag:
-        product *= x
-        if x > 0:
-            pos += 1
-        else:
-            neg += 1
     places = relevant_places(form.diag)
     hasse = tuple((v, hasse_invariant(form, v)) for v in places)
     return FormInvariants(
-        dim=form.dim,
-        disc=squarefree_part(product),
-        signature=(pos, neg),
-        hasse=hasse,
+        dim=form.dim, disc=form.disc, signature=form.signature, hasse=hasse
     )
 
 
@@ -497,12 +492,12 @@ def is_isotropic(form):
     n = form.dim
     if n == 1:
         return False
-    inv = form_invariants(form)
-    pos, neg = inv.signature
     if n >= 5:
+        pos, neg = form.signature
         return pos > 0 and neg > 0
     if n == 2:
-        return inv.disc == -1
+        return form.disc == -1
+    inv = form_invariants(form)
     return all(_locally_isotropic(inv, place, epsilon) for place, epsilon in inv.hasse)
 
 
@@ -519,7 +514,7 @@ def is_isotropic_over_quadratic(form, d):
     d = _validate_quadratic_d(d)
     if d < 0:
         return True
-    pos, neg = form_invariants(form).signature
+    pos, neg = form.signature
     return pos > 0 and neg > 0
 
 
@@ -640,8 +635,6 @@ class DescentReport:
     scale: int | None
     splits_over_extension: bool
     residual_class: QuaternionClass        # (d*p*q, d*p*r), the descended candidate
-    albert_anisotropic_over_base: bool
-    albert_isotropic_over_extension: bool
     hypothesis_division_split: bool
     consistent: bool
 
@@ -671,9 +664,7 @@ def verify_quaternion_descent_instance(p, q, r, d):
     pair_form = albert_form(first, second)
     similar, scale = forms_similar(isotropy_form, pair_form)
     splits = splits_over_quadratic(first, d)
-    anisotropic = not is_isotropic(pair_form)
-    isotropic_ext = is_isotropic_over_quadratic(pair_form, d)
-    hypothesis = anisotropic and isotropic_ext
+    hypothesis = not is_isotropic(pair_form) and is_isotropic_over_quadratic(pair_form, d)
     return DescentReport(
         p=p,
         q=q,
@@ -685,8 +676,6 @@ def verify_quaternion_descent_instance(p, q, r, d):
         scale=scale,
         splits_over_extension=splits,
         residual_class=second,
-        albert_anisotropic_over_base=anisotropic,
-        albert_isotropic_over_extension=isotropic_ext,
         hypothesis_division_split=hypothesis,
         consistent=similar or not hypothesis,
     )

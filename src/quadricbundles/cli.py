@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -106,6 +107,15 @@ def _place(text):
         ) from None
 
 
+def _json_path(text):
+    """argparse type for ``--json``: a path in an existing directory, so that
+    a report that cannot be written fails before any suite runs."""
+    directory = os.path.dirname(text)
+    if directory and not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError("directory %r does not exist" % directory)
+    return text
+
+
 #: ``--gamma-exp``: a fixed exponent of the witness modulus, or both.
 _GAMMA_CHOICES = tuple(str(e) for e in biforms.GAMMA_EXPONENTS) + ("auto",)
 
@@ -124,25 +134,25 @@ def _build_parser():
     run.add_argument("--gamma-exp", choices=_GAMMA_CHOICES, default="auto")
     run.add_argument("--entry", type=_any_integer, default=None)
     run.add_argument("--dim", type=_dim, default=None)
-    run.add_argument("--json", dest="json_path", default=None)
+    run.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
     nf = sub.add_parser("verify-normal-forms", help="one normal form, as JSON")
     nf.add_argument(
         "--entry", type=_any_integer, required=True, choices=reports.ENTRIES["normal-forms"]
     )
     nf.add_argument("--dim", type=_dim, default=None)
-    nf.add_argument("--json", dest="json_path", default=None)
+    nf.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
     s5 = sub.add_parser("verify-section5", help="one cover map, as JSON")
     s5.add_argument(
         "--entry", type=_any_integer, required=True, choices=reports.ENTRIES["section5"]
     )
-    s5.add_argument("--json", dest="json_path", default=None)
+    s5.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
     ap = sub.add_parser("verify-appendix", help="biform-module computations")
     ap.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
     ap.add_argument("--gamma-exp", choices=_GAMMA_CHOICES, default="auto")
-    ap.add_argument("--json", dest="json_path", default=None)
+    ap.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
     br = sub.add_parser("brauer", help="quaternion and quadratic form reports")
     brsub = br.add_subparsers(dest="brauer_command", required=True)
@@ -150,13 +160,13 @@ def _build_parser():
     hil.add_argument("--a", type=_rational, required=True)
     hil.add_argument("--b", type=_rational, required=True)
     hil.add_argument("--place", type=_place, required=True)
-    hil.add_argument("--json", dest="json_path", default=None)
+    hil.add_argument("--json", dest="json_path", type=_json_path, default=None)
     alb = brsub.add_parser("albert", help="Albert form report for one descent instance")
     alb.add_argument("--p", type=_rational, required=True)
     alb.add_argument("--q", type=_rational, required=True)
     alb.add_argument("--r", type=_rational, required=True)
     alb.add_argument("--d", type=_any_integer, required=True)
-    alb.add_argument("--json", dest="json_path", default=None)
+    alb.add_argument("--json", dest="json_path", type=_json_path, default=None)
     return parser
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundles import MIN_DIMENSION, PROJECTIVE_NAMES, equation_table, normal_form
+from .bundles import MIN_DIMENSION, PROJECTIVE_NAMES, check_dimension, equation_table, normal_form
 from .rings import (
     DivisionError,
     LaurentPolynomial,
@@ -100,11 +100,9 @@ def cover_map(entry, n=None):
             "no cover map for entry %r: entries 2..8 have one, entry 1 is the"
             " identity model" % (entry,)
         )
-    minimum = MIN_DIMENSION[entry]
     if n is None:
-        n = minimum
-    if n < minimum:
-        raise ValueError("entry %d needs base dimension >= %d" % (entry, minimum))
+        n = MIN_DIMENSION[entry]
+    check_dimension(entry, n)
     spec = COVER_SPECS[entry]
     m = max(i for mono in spec for i in mono)
     table = cover_table(m, n)

@@ -414,128 +414,72 @@ class LaurentPolynomial:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*/^]))")
+#: One factor after optional whitespace, empty where none starts.  The slash
+#: and caret are groups of their own, so a missing int after them is caught.
+_FACTOR = re.compile(
+    r"\s*(?:(\d+)(?:\s*(/)\s*(\d+)?)?"
+    r"|([A-Za-z_][A-Za-z0-9_']*)(?:\s*(\^)\s*(-)?\s*(\d+)?)?)?"
+)
+_OPERATOR = re.compile(r"\s*([-+*]?)")
+#: A character no number, name or operator starts with, or a quote that does
+#: not continue a name (at the start of a word or right after its digits).
+_UNEXPECTED = re.compile(r"[^-+*/^\s\dA-Za-z_']|(?<![A-Za-z0-9_'])[0-9]*'")
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError("unexpected character %r" % stripped[0], pos)
-        if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for the canonical polynomial grammar.
-
-    poly   := ['-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := number | name ['^' ['-'] int]
-    number := int ['/' int]
-    """
-
-    def __init__(self, text, table):
-        self.tokens = _tokenize(text)
-        self.table = table
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        result = LaurentPolynomial.zero(self.table)
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in "+-":
-            self.next()
-            sign = -1 if value == "-" else 1
-        result = result + self.term(sign)
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "end":
-                return result
-            if kind == "op" and value in "+-":
-                self.next()
-                result = result + self.term(-1 if value == "-" else 1)
-            else:
-                raise ParseError("expected '+' or '-'", pos)
-
-    def term(self, sign):
-        coeff = Fraction(sign)
-        exps = [0] * len(self.table)
-        coeff, exps = self.factor(coeff, exps)
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                coeff, exps = self.factor(coeff, exps)
-            else:
-                break
-        exps = tuple(exps)
-        try:
-            self.table.check_exponents(exps)
-        except ExponentError as exc:
-            raise ParseError(str(exc), self.tokens[self.i - 1][2]) from None
-        return LaurentPolynomial(self.table, {exps: coeff})
-
-    def factor(self, coeff, exps):
-        kind, value, pos = self.next()
-        if kind == "int":
-            num = value
-            kind, nxt, _ = self.peek()
-            if kind == "op" and nxt == "/":
-                self.next()
-                kind, den, dpos = self.next()
-                if kind != "int":
-                    raise ParseError("expected an integer denominator", dpos)
-                if den == 0:
-                    raise ParseError("zero denominator", dpos)
-                return coeff * Fraction(num, den), exps
-            return coeff * num, exps
-        if kind == "name":
-            try:
-                idx = self.table.index(value)
-            except KeyError:
-                raise ParseError("unknown variable %r" % value, pos) from None
-            power = 1
-            kind, nxt, _ = self.peek()
-            if kind == "op" and nxt == "^":
-                self.next()
-                negate = False
-                kind, nxt, npos = self.next()
-                if kind == "op" and nxt == "-":
-                    negate = True
-                    kind, nxt, npos = self.next()
-                if kind != "int":
-                    raise ParseError("expected an integer exponent", npos)
-                power = -nxt if negate else nxt
-            exps = list(exps)
-            exps[idx] += power
-            return coeff, exps
-        raise ParseError("expected a number or variable", pos)
+def _error(text, message, pos):
+    """``ParseError(message, pos)``, unless the text holds an unexpected
+    character: that is reported first, at the end of the token before it."""
+    bad = _UNEXPECTED.search(text)
+    if bad:
+        i = bad.end() - 1
+        return ParseError("unexpected character %r" % text[i], len(text[:i].rstrip()))
+    return ParseError(message, pos)
 
 
 def parse(text, table):
-    """Parse canonical polynomial text over the given table."""
-    return _Parser(text, table).parse()
+    """Parse canonical polynomial text over the given table.
+
+    poly   := ['+'|'-'] term (('+'|'-') term)*
+    term   := factor ('*' factor)*
+    factor := int ['/' int] | name ['^' ['-'] int]
+    """
+    terms = {}
+    sign = _OPERATOR.match(text)
+    op, pos = (sign[1], sign.end()) if sign[1] in ("+", "-") else ("+", 0)
+    while True:
+        coeff, exps = Fraction(-1 if op == "-" else 1), [0] * len(table)
+        while True:
+            f = _FACTOR.match(text, pos)
+            num, slash, den, name, caret, minus, power = f.groups()
+            if num:
+                if slash and den is None:
+                    raise _error(text, "expected an integer denominator", f.end())
+                if slash and not int(den):
+                    raise _error(text, "zero denominator", f.start(3))
+                coeff *= Fraction(int(num), int(den)) if slash else int(num)
+            elif name:
+                idx = table._index.get(name)
+                if idx is None:
+                    raise _error(text, "unknown variable %r" % name, f.start(4))
+                if caret and power is None:
+                    raise _error(text, "expected an integer exponent", f.end())
+                exps[idx] += (-int(power) if minus else int(power)) if caret else 1
+            else:
+                raise _error(text, "expected a number or variable", f.end())
+            nxt = _OPERATOR.match(text, f.end())
+            op, pos = nxt[1], nxt.end()
+            if op != "*":
+                break
+        exps = tuple(exps)
+        try:
+            table.check_exponents(exps)
+        except ExponentError as exc:
+            raise _error(text, str(exc), f.start(f.lastindex)) from None
+        terms[exps] = terms.get(exps, 0) + coeff
+        if not op:
+            if pos < len(text):
+                raise _error(text, "expected '+' or '-'", pos)
+            return LaurentPolynomial(table, terms)
 
 
 def retabulate(poly, table):
@@ -567,7 +511,7 @@ class RingHomomorphism:
     """Substitution homomorphism determined by per-variable images.
 
     ``images`` maps every source variable name to a polynomial over the
-    target table (strings are parsed).  The image of an invertible source
+    target table.  The image of an invertible source
     variable must be a unit, so that negative exponents can be pushed
     forward.  Powers of the images are cached on the instance, so that every
     polynomial it maps shares them.
@@ -581,8 +525,6 @@ class RingHomomorphism:
             if name not in images:
                 raise ValueError("no image given for variable %r" % name)
             img = images[name]
-            if isinstance(img, str):
-                img = parse(img, target)
             if img.table != target:
                 raise TableMismatchError("image of %r is over the wrong table" % name)
             if inv and not img.is_unit():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadricbundles import brauer
 from quadricbundles.brauer import (
     MILLER_RABIN_LIMIT,
     REAL,
@@ -395,6 +396,18 @@ class TestDescentInstances:
         assert report.splits_over_extension
         assert report.consistent
 
+    @pytest.mark.parametrize("d", [2, -1])
+    def test_invariants_only_for_similarity(self, d, monkeypatch):
+        # isotropy of the six-dimensional Albert form reads its signature, so
+        # only the two forms compared by forms_similar get their invariants
+        calls = []
+        invariants = brauer.form_invariants
+        monkeypatch.setattr(
+            brauer, "form_invariants", lambda form: calls.append(form) or invariants(form)
+        )
+        report = verify_quaternion_descent_instance(3, 5, 7, d)
+        assert calls == [report.isotropy_form, report.albert_pair_form]
+
     def test_random_instances_consistent(self):
         rng = random.Random(53)
         count = 0
@@ -553,7 +566,7 @@ def similar_by_enumeration(f, g):
             for i, p in enumerate(primes):
                 if mask >> i & 1:
                     c *= p
-            if forms_equivalent(f.scaled(c), g):
+            if forms_equivalent(RationalQuadraticForm(tuple(c * x for x in f.diag)), g):
                 return True, c
     return False, None
 

@@ -33,9 +33,12 @@ PAST_DIM = str(bundles.MAX_DIMENSION + 1)
 HILBERT = ("brauer", "hilbert")
 ALBERT = ("brauer", "albert")
 
+#: A report path in a directory that does not exist.
+MISSING_DIR_JSON = "missing/report.json"
+
 #: Every argument of every subcommand: the rest of a command line, the
-#: largest legal value and one past it (None for ``--json``, a path of any
-#: text).  The legal value must exit 0 or 1, the one past it 2.
+#: largest legal value and one past it (for ``--json``, a path in a missing
+#: directory).  The legal value must exit 0 or 1, the one past it 2.
 BOUNDS = {
     (("run",), "suite"): ([], "all", "everything"),
     (("run",), "--seed"): (["brauer"], LONGEST, TOO_LONG),
@@ -43,24 +46,24 @@ BOUNDS = {
     (("run",), "--gamma-exp"): (["appendix"], "-2", "-3"),
     (("run",), "--entry"): (["section5"], "8", "9"),
     (("run",), "--dim"): (["normal-forms"], MAX_DIM, PAST_DIM),
-    (("run",), "--json"): (["section5"], "report.json", None),
+    (("run",), "--json"): (["section5"], "report.json", MISSING_DIR_JSON),
     (("verify-normal-forms",), "--entry"): ([], "8", "9"),
     (("verify-normal-forms",), "--dim"): (["--entry", "8"], MAX_DIM, PAST_DIM),
-    (("verify-normal-forms",), "--json"): (["--entry", "8"], "report.json", None),
+    (("verify-normal-forms",), "--json"): (["--entry", "8"], "report.json", MISSING_DIR_JSON),
     (("verify-section5",), "--entry"): ([], "8", "9"),
-    (("verify-section5",), "--json"): (["--entry", "8"], "report.json", None),
+    (("verify-section5",), "--json"): (["--entry", "8"], "report.json", MISSING_DIR_JSON),
     (("verify-appendix",), "--window"): ([], LONGEST, TOO_LONG),
     (("verify-appendix",), "--gamma-exp"): ([], "-2", "-3"),
-    (("verify-appendix",), "--json"): ([], "report.json", None),
+    (("verify-appendix",), "--json"): ([], "report.json", MISSING_DIR_JSON),
     (HILBERT, "--a"): (["--b", "3", "--place", "5"], "-%s/%s7" % (LONGEST, LONGEST[1:]), TOO_LONG),
     (HILBERT, "--b"): (["--a", "3", "--place", "5"], LONGEST, "1/" + TOO_LONG),
     (HILBERT, "--place"): (["--a", "2", "--b", "3"], "53", "59"),
-    (HILBERT, "--json"): (["--a", "2", "--b", "3", "--place", "5"], "report.json", None),
+    (HILBERT, "--json"): (["--a", "2", "--b", "3", "--place", "5"], "report.json", MISSING_DIR_JSON),
     (ALBERT, "--p"): (["--q", "3", "--r", "5", "--d", "2"], SMOOTH, SMOOTH_TOO_LONG),
     (ALBERT, "--q"): (["--p", "3", "--r", "5", "--d", "2"], "-" + SMOOTH, SMOOTH_TOO_LONG),
     (ALBERT, "--r"): (["--p", "3", "--q", "5", "--d", "2"], "5/" + SMOOTH, "5/" + SMOOTH_TOO_LONG),
     (ALBERT, "--d"): (["--p", "3", "--q", "5", "--r", "7"], PRIMORIAL_2351, SMOOTH_TOO_LONG),
-    (ALBERT, "--json"): (["--p", "3", "--q", "5", "--r", "7", "--d", "2"], "report.json", None),
+    (ALBERT, "--json"): (["--p", "3", "--q", "5", "--r", "7", "--d", "2"], "report.json", MISSING_DIR_JSON),
 }
 
 
@@ -333,6 +336,15 @@ class TestReports:
         c = reports.run_brauer(seed=12)
         assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
+    def test_json_into_a_missing_directory_fails_before_any_suite(self, tmp_path):
+        started = time.perf_counter()
+        result = run_cli("run", "all", "--json", str(tmp_path / MISSING_DIR_JSON))
+        assert time.perf_counter() - started < 1.0
+        assert result.returncode == 2
+        assert "does not exist" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     def test_json_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         assert main(["run", "normal-forms", "--json", str(path)]) == 0
@@ -367,7 +379,7 @@ class TestDeclaredInputs:
         readers = {cli._any_integer, cli._window, cli._dim, cli._rational, cli._place}
         for command, name, action in parser_arguments(cli._build_parser()):
             if name == "--json":
-                assert action.type is None and action.choices is None
+                assert action.type is cli._json_path and action.choices is None
             else:
                 assert action.type in readers or (action.type is None and action.choices), (
                     command,
@@ -379,8 +391,6 @@ class TestDeclaredInputs:
         monkeypatch.chdir(tmp_path)
         _, legal, past = BOUNDS[key]
         for value, codes in ((legal, {0, 1}), (past, {2})):
-            if value is None:
-                continue
             started = time.perf_counter()
             code = exit_code(command_line(key, value))
             elapsed = time.perf_counter() - started

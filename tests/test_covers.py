@@ -123,6 +123,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cover_map(1)
 
+    def test_dimension_below_the_minimum(self):
+        with pytest.raises(ValueError, match="entry 8 needs base dimension >= 3, got 2"):
+            cover_map(8, 2)
+
     @pytest.mark.parametrize(
         "entry,m", [(2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (7, 3), (8, 3)]
     )

@@ -1,7 +1,12 @@
+import json
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadricbundles.rings import (
     DivisionError,
@@ -19,15 +24,22 @@ from quadricbundles.rings import (
 KLMN = VariableTable(("K", "L", "M", "N"))
 ST = VariableTable(("s", "t"), invertible=("t",))
 UV = VariableTable(("u", "v", "u'", "v'"))
+#: Plain, invertible and mixed tables; names with digits and quotes.
+MIXED_TABLES = (
+    KLMN,
+    ST,
+    VariableTable(("a", "b", "x'", "y1"), invertible=("b", "y1")),
+    VariableTable(("u", "v"), invertible=("u", "v")),
+)
 
 
-def random_poly(rng, table, nterms=4, max_exp=3):
+def random_poly(rng, table, nterms=4, max_exp=3, max_den=5):
     terms = {}
     for _ in range(nterms):
         exps = tuple(
             rng.randint(-max_exp if inv else 0, max_exp) for inv in table.invertible
         )
-        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
     return LaurentPolynomial(table, terms)
 
 
@@ -88,6 +100,226 @@ class TestParsing:
             again = parse(canonical, ST)
             assert again == p
             assert str(again) == canonical
+
+
+# -- the two-stage parser, kept as the oracle for rings.parse -----------------
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*/^]))")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError("unexpected character %r" % stripped[0], pos)
+        if m.lastgroup == "int":
+            tokens.append(("int", int(m.group("int")), m.start("int")))
+        elif m.lastgroup == "name":
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class ReferenceParser:
+    """Recursive-descent parser for the canonical polynomial grammar, over a
+    token list built first.
+
+    poly   := ['-'] term (('+'|'-') term)*
+    term   := factor ('*' factor)*
+    factor := number | name ['^' ['-'] int]
+    number := int ['/' int]
+    """
+
+    def __init__(self, text, table):
+        self.tokens = _tokenize(text)
+        self.table = table
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self):
+        result = LaurentPolynomial.zero(self.table)
+        sign = 1
+        kind, value, pos = self.peek()
+        if kind == "op" and value in "+-":
+            self.next()
+            sign = -1 if value == "-" else 1
+        result = result + self.term(sign)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "end":
+                return result
+            if kind == "op" and value in "+-":
+                self.next()
+                result = result + self.term(-1 if value == "-" else 1)
+            else:
+                raise ParseError("expected '+' or '-'", pos)
+
+    def term(self, sign):
+        coeff = Fraction(sign)
+        exps = [0] * len(self.table)
+        coeff, exps = self.factor(coeff, exps)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "*":
+                self.next()
+                coeff, exps = self.factor(coeff, exps)
+            else:
+                break
+        exps = tuple(exps)
+        try:
+            self.table.check_exponents(exps)
+        except ExponentError as exc:
+            raise ParseError(str(exc), self.tokens[self.i - 1][2]) from None
+        return LaurentPolynomial(self.table, {exps: coeff})
+
+    def factor(self, coeff, exps):
+        kind, value, pos = self.next()
+        if kind == "int":
+            num = value
+            kind, nxt, _ = self.peek()
+            if kind == "op" and nxt == "/":
+                self.next()
+                kind, den, dpos = self.next()
+                if kind != "int":
+                    raise ParseError("expected an integer denominator", dpos)
+                if den == 0:
+                    raise ParseError("zero denominator", dpos)
+                return coeff * Fraction(num, den), exps
+            return coeff * num, exps
+        if kind == "name":
+            try:
+                idx = self.table.index(value)
+            except KeyError:
+                raise ParseError("unknown variable %r" % value, pos) from None
+            power = 1
+            kind, nxt, _ = self.peek()
+            if kind == "op" and nxt == "^":
+                self.next()
+                negate = False
+                kind, nxt, npos = self.next()
+                if kind == "op" and nxt == "-":
+                    negate = True
+                    kind, nxt, npos = self.next()
+                if kind != "int":
+                    raise ParseError("expected an integer exponent", npos)
+                power = -nxt if negate else nxt
+            exps = list(exps)
+            exps[idx] += power
+            return coeff, exps
+        raise ParseError("expected a number or variable", pos)
+
+
+def reference_parse(text, table):
+    return ReferenceParser(text, table).parse()
+
+
+def outcome(parser, text, table):
+    """The polynomial a parser returns, or the message and position of its
+    ``ParseError``."""
+    try:
+        return parser(text, table)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+#: Characters inserted into canonical texts: operators, blank, digits,
+#: letters, the quote that names may hold and one no token holds.
+INSERTED = "+-*/^ 0123456789abcdefghijklmnopqrstuvwxyz'$"
+
+
+def oracle_corpus(seed=17, polys=600):
+    """``(text, table)`` for canonical texts of random polynomials, each with
+    one deletion, one insertion from ``INSERTED`` and one adjacent swap."""
+    rng = random.Random(seed)
+    for _ in range(polys):
+        table = rng.choice(MIXED_TABLES)
+        text = str(random_poly(rng, table, nterms=rng.randint(1, 4), max_den=20))
+        i = rng.randrange(len(text))
+        j = rng.randrange(len(text) + 1)
+        k = rng.randrange(max(len(text) - 1, 1))
+        yield text, table
+        yield text[:i] + text[i + 1:], table
+        yield text[:j] + rng.choice(INSERTED) + text[j:], table
+        yield text[:k] + text[k + 1:k + 2] + text[k:k + 1] + text[k + 2:], table
+
+
+#: Records every text the library parses while ``run all --seed 7`` runs.
+RUN_ALL_TEXTS = """
+import json, sys
+from quadricbundles import biforms, reports
+seen = []
+parse = biforms.parse
+def record(text, table):
+    inverted = [n for n, inv in zip(table.names, table.invertible) if inv]
+    seen.append((text, table.names, inverted))
+    return parse(text, table)
+biforms.parse = record
+reports.run_all(seed=7)
+json.dump(seen, sys.stdout)
+"""
+
+
+#: How each ``ParseError`` message begins; the corpus reaches every one.
+ERROR_KINDS = (
+    "unexpected character",
+    "expected '+' or '-'",
+    "expected a number or variable",
+    "expected an integer denominator",
+    "expected an integer exponent",
+    "zero denominator",
+    "unknown variable",
+    "exponents",
+)
+
+
+class TestParserOracle:
+    def test_corpus_matches_the_two_stage_parser(self):
+        corpus = list(oracle_corpus())
+        assert len(corpus) >= 2000
+        accepted, kinds = 0, set()
+        for text, table in corpus:
+            expected = outcome(reference_parse, text, table)
+            assert outcome(parse, text, table) == expected, text
+            if isinstance(expected, tuple):
+                kinds.update(kind for kind in ERROR_KINDS if expected[0].startswith(kind))
+            else:
+                accepted += 1
+        assert kinds == set(ERROR_KINDS)
+        assert accepted >= len(corpus) // 4
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "  ", "-", "*s", "--s", "s^", "s^- -2", "3/", "3/ 0", "12'", "s'", "1٣'",
+         "s^-1 t", "s^-1*$", "x^y", "0*s^-1", "1/2/3", "s ^ 2 ^ 3", "٣/٣*s", "s\n+\tt"],
+    )
+    def test_edge_texts_match_the_two_stage_parser(self, text):
+        assert outcome(parse, text, ST) == outcome(reference_parse, text, ST)
+
+    def test_run_all_texts_match_the_two_stage_parser(self):
+        result = subprocess.run(
+            [sys.executable, "-c", RUN_ALL_TEXTS], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        texts = json.loads(result.stdout)
+        assert texts
+        for text, names, inverted in texts:
+            table = VariableTable(names, inverted)
+            assert parse(text, table) == reference_parse(text, table), text
 
 
 class TestArithmetic:
@@ -158,7 +390,9 @@ class TestSubstitution:
     def test_single_substitution(self):
         source = VariableTable(("t1", "K"))
         target = VariableTable(("s1", "K"))
-        h = RingHomomorphism(source, target, {"t1": "s1^2", "K": "K"})
+        h = RingHomomorphism(
+            source, target, {"t1": parse("s1^2", target), "K": parse("K", target)}
+        )
         assert h(parse("t1*K^2", source)) == parse("s1^2*K^2", target)
 
     def test_identity(self):
@@ -174,7 +408,9 @@ class TestSubstitution:
         rng = random.Random(7)
         source = ST
         target = VariableTable(("a", "b"), invertible=("b",))
-        h = RingHomomorphism(source, target, {"s": "a + b", "t": "2*b^-1"})
+        h = RingHomomorphism(
+            source, target, {"s": parse("a + b", target), "t": parse("2*b^-1", target)}
+        )
         for _ in range(25):
             p = random_poly(rng, source)
             q = random_poly(rng, source)
@@ -183,10 +419,10 @@ class TestSubstitution:
 
     def test_invertible_variable_needs_unit_image(self):
         with pytest.raises(NonUnitError):
-            RingHomomorphism(ST, ST, {"s": "s", "t": "s + t"})
+            RingHomomorphism(ST, ST, {"s": parse("s", ST), "t": parse("s + t", ST)})
 
     def test_image_of_zero_allowed_for_plain_variable(self):
-        h = RingHomomorphism(ST, ST, {"s": "0", "t": "t"})
+        h = RingHomomorphism(ST, ST, {"s": parse("0", ST), "t": parse("t", ST)})
         assert h(parse("s^2 + s*t + 1", ST)) == parse("1", ST)
 
 
@@ -239,6 +475,93 @@ class TestExactDivision:
             if b.is_zero():
                 continue
             assert (a * b).exact_div(b) == a
+
+
+# -- properties --------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+COEFFICIENTS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def polynomials(table, max_terms=5):
+    exponents = st.tuples(
+        *(st.integers(-3 if inv else 0, 3) for inv in table.invertible)
+    )
+    return st.dictionaries(exponents, COEFFICIENTS, max_size=max_terms).map(
+        lambda terms: LaurentPolynomial(table, terms)
+    )
+
+
+def monomials(table):
+    return polynomials(table, max_terms=1).filter(lambda m: not m.is_zero())
+
+
+def same_table(*strategies):
+    """One table, then one draw from each ``strategy(table)``."""
+    return st.sampled_from(MIXED_TABLES).flatmap(
+        lambda table: st.tuples(*(strategy(table) for strategy in strategies))
+    )
+
+
+class TestRingProperties:
+    @PROPERTY_SETTINGS
+    @given(same_table(polynomials))
+    def test_parse_inverts_str(self, drawn):
+        (p,) = drawn
+        assert parse(str(p), p.table) == p
+
+    @PROPERTY_SETTINGS
+    @given(same_table(polynomials, polynomials, polynomials))
+    def test_ring_axioms(self, drawn):
+        a, b, c = drawn
+        zero, one = LaurentPolynomial.zero(a.table), LaurentPolynomial.one(a.table)
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert a + zero == a and a - a == zero
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * one == a
+        assert a * (b + c) == a * b + a * c
+
+    @PROPERTY_SETTINGS
+    @given(same_table(polynomials, polynomials), COEFFICIENTS)
+    def test_equal_objects_hash_equal(self, drawn, c):
+        p, q = drawn
+        reordered = LaurentPolynomial(p.table, dict(reversed(list(p.terms.items()))))
+        assert reordered == p and hash(reordered) == hash(p)
+        assert (p == q) == (p - q).is_zero()
+        if p == q:
+            assert hash(p) == hash(q)
+        constant = LaurentPolynomial.constant(p.table, c)
+        assert constant == c and hash(constant) == hash(c)
+        if c.denominator == 1:
+            assert constant == int(c) and hash(constant) == hash(int(c))
+        assert p.is_constant() or p != c
+
+    @PROPERTY_SETTINGS
+    @given(same_table(polynomials, monomials))
+    def test_exact_division_by_a_monomial(self, drawn):
+        a, m = drawn
+        assert (a * m).exact_div(m) == a
+
+    @PROPERTY_SETTINGS
+    @given(same_table(polynomials, monomials))
+    def test_inexact_division_names_its_remainder(self, drawn):
+        p, m = drawn
+        (mexps, _), = m.terms.items()
+        stuck = {
+            exps: coeff
+            for exps, coeff in p.terms.items()
+            if not p.table.allows(tuple(a - b for a, b in zip(exps, mexps)))
+        }
+        if not stuck:
+            assert p.exact_div(m) * m == p
+            return
+        with pytest.raises(DivisionError) as err:
+            p.exact_div(m)
+        remainder = err.value.remainder
+        assert remainder == LaurentPolynomial(p.table, stuck)
+        assert (p - remainder).exact_div(m) * m == p - remainder
 
 
 def pair_product(x, y, f):
