@@ -14,6 +14,7 @@ the closure over the origin is too large.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -291,15 +292,15 @@ class FreenessReport:
 def freeness_certificate():
     """Nonzero 9x9 determinant of the generators in the standard basis.
 
-    The generators are fraction-field independent, so the module they span
-    over k[r, s, t] is free of rank nine with them as basis.
+    Row j of the generator matrix is ``mono_j`` times the constant form
+    ``form_j``, so by multilinearity in the rows the determinant is
+    ``prod(mono_j) * det(form_j)``: one rational determinant.  The generators
+    are fraction-field independent, so the module they span over k[r, s, t]
+    is free of rank nine with them as basis.
     """
-    target = intersection_module()
-    rows = [
-        list(target.generator_vector(g).coords)
-        for g in range(9)
-    ]
-    det = determinant(rows)
+    gens = intersection_module().gens
+    forms = determinant([form for _, form in gens])
+    det = math.prod((monomial for monomial, _ in gens), start=forms)
     return FreenessReport(passed=not det.is_zero(), det=det)
 
 

@@ -108,16 +108,15 @@ def _place(text):
 
 
 def _json_path(text):
-    """argparse type for ``--json``: a path in an existing directory, so that
-    a report that cannot be written fails before any suite runs."""
+    """argparse type for ``--json``: a path in an existing directory that is
+    not itself a directory, so that a report that cannot be written fails
+    before any suite runs."""
     directory = os.path.dirname(text)
     if directory and not os.path.isdir(directory):
         raise argparse.ArgumentTypeError("directory %r does not exist" % directory)
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError("%r is a directory" % text)
     return text
-
-
-#: ``--gamma-exp``: a fixed exponent of the witness modulus, or both.
-_GAMMA_CHOICES = tuple(str(e) for e in biforms.GAMMA_EXPONENTS) + ("auto",)
 
 
 def _build_parser():
@@ -131,7 +130,6 @@ def _build_parser():
     run.add_argument("suite", choices=reports.SUITES + ("all",))
     run.add_argument("--seed", type=_any_integer, default=reports.DEFAULT_SEED)
     run.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
-    run.add_argument("--gamma-exp", choices=_GAMMA_CHOICES, default="auto")
     run.add_argument("--entry", type=_any_integer, default=None)
     run.add_argument("--dim", type=_dim, default=None)
     run.add_argument("--json", dest="json_path", type=_json_path, default=None)
@@ -151,7 +149,6 @@ def _build_parser():
 
     ap = sub.add_parser("verify-appendix", help="biform-module computations")
     ap.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
-    ap.add_argument("--gamma-exp", choices=_GAMMA_CHOICES, default="auto")
     ap.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
     br = sub.add_parser("brauer", help="quaternion and quadratic form reports")
@@ -212,9 +209,7 @@ def _run_command(parser, args):
     _validate_run(parser, args)
     if args.suite == "all":
         started = time.perf_counter()
-        payload = reports.run_all(
-            seed=args.seed, window=args.window, gamma_exp=args.gamma_exp
-        )
+        payload = reports.run_all(seed=args.seed, window=args.window)
         elapsed = time.perf_counter() - started
         for suite in payload["suites"]:
             print("suite %-12s %s" % (suite["suite"] + ":", suite["status"]))
@@ -229,7 +224,6 @@ def _run_command(parser, args):
         args.suite,
         seed=args.seed,
         window=args.window,
-        gamma_exp=args.gamma_exp,
         entry=args.entry,
         dim=args.dim,
     )
@@ -266,7 +260,7 @@ def main(argv=None):
         return 0 if ok else 1
 
     if args.command == "verify-appendix":
-        payload = reports.run_appendix(window=args.window, gamma_exp=args.gamma_exp)
+        payload = reports.run_appendix(window=args.window)
         _emit(payload, args.json_path, sys.stdout)
         return _exit_code(payload["status"])
 

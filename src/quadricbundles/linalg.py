@@ -1,12 +1,10 @@
-"""Exact linear algebra: fraction-free elimination over polynomial rings and
-integer-preserving row reduction of rational matrices.
+"""Exact linear algebra over Q by integer-preserving elimination.
 
-The Bareiss determinant works over any
-:class:`~quadricbundles.rings.VariableTable`; exactness of the interior
-divisions is the classical fraction-free elimination guarantee for integral
-domains.  The rational routines take rows of ints or ``Fraction``s, reduce
-them over the integers and return ``Fraction`` rows; they serve the
-constant-coefficient change-of-basis and subspace computations.
+Every routine takes rows of ints or ``Fraction``s and clears each row's
+denominators first: ``determinant`` is Bareiss's fraction-free elimination,
+and one Gauss-Jordan ``rref`` serves ranks, kernels, row spaces and
+inverses.  There are no polynomial matrices: ``biforms`` splits its
+generator matrix into monomials times one rational matrix.
 """
 
 from __future__ import annotations
@@ -14,43 +12,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .rings import LaurentPolynomial, RingError
+from .rings import RingError
 
 
 class SingularMatrixError(RingError):
     pass
 
 
-# -- polynomial matrices -----------------------------------------------------
+def _cleared(row):
+    """``(d, d * row)`` for the least ``d`` making a row of ints or Fractions
+    integral."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
 
-def determinant(rows):
-    """Exact determinant of a square matrix of Laurent polynomials (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    table = rows[0][0].table
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = LaurentPolynomial.one(table)
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
-        if pivot_row is None:
-            return LaurentPolynomial.zero(table)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = LaurentPolynomial.zero(table)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-# -- rational matrices -------------------------------------------------------
 
 def _primitive(row):
     """The integer row divided by the gcd of its entries."""
@@ -58,10 +32,35 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def _integer_row(row):
-    """An integer multiple of a row of ints or Fractions, made primitive."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+def determinant(rows):
+    """Exact determinant of a square matrix of ints or Fractions.
+
+    Row i is scaled to integers by ``d_i``, which scales the determinant by
+    the product of the ``d_i``; Bareiss's elimination then keeps every entry
+    an integer, each division by the previous pivot being exact.
+    """
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    cleared = [_cleared(row) for row in rows]
+    m = [row for _, row in cleared]
+    prev = 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            # a swap with one row negated keeps the determinant
+            m[k], m[pivot] = m[pivot], [-x for x in m[k]]
+        top = m[k]
+        p = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * a - f * b) // prev for a, b in zip(row[k + 1:], top[k + 1:])]
+        prev = p
+    return Fraction(m[n - 1][n - 1], math.prod(d for d, _ in cleared))
 
 
 def rref(rows):
@@ -72,7 +71,7 @@ def rref(rows):
     the pivot rows are scaled to a leading 1 as ``Fraction`` rows only at the
     end.  The result is the canonical reduced form over Q, zero rows last.
     """
-    m = [_integer_row(row) for row in rows]
+    m = [_primitive(_cleared(row)[1]) for row in rows]
     if not m:
         return [], []
     cols = len(m[0])

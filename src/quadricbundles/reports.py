@@ -286,7 +286,7 @@ def _witness_payload(report):
     }
 
 
-def run_appendix(window=biforms.MIN_WINDOW, gamma_exp="auto"):
+def run_appendix(window=biforms.MIN_WINDOW):
     items = []
     failures = 0
     attention = False
@@ -337,65 +337,49 @@ def run_appendix(window=biforms.MIN_WINDOW, gamma_exp="auto"):
     if not graded.passed:
         failures += 1
 
-    if gamma_exp == "auto":
-        exponent_reports = {
-            e: biforms.nonflatness_witness(biforms.witness_curve(e))
-            for e in biforms.GAMMA_EXPONENTS
-        }
-        passing = [e for e, rep in exponent_reports.items() if rep.passed]
-        if passing == [-2]:
-            attention = True
-            chosen = -2
-            note = (
-                "identities hold for gamma exponent -2 only; the exponent -1"
-                " variant of the modulus fails them and is flagged as a"
-                " probable transcription error"
-            )
-        elif passing == [-1]:
-            failures += 1
-            chosen = -1
-            note = (
-                "identities hold for gamma exponent -1 only, contradicting the"
-                " hand-derivation oracle; refusing to pass until reconciled"
-            )
-        elif not passing:
-            failures += 1
-            chosen = None
-            note = "no gamma exponent satisfies the identities"
-        else:
-            failures += 1
-            chosen = None
-            note = (
-                "both gamma exponents satisfy the identities, contradicting"
-                " the hand-derivation oracle"
-            )
-        items.append(
-            {
-                "check": "nonflatness",
-                "gamma_exp_used": chosen,
-                "identities": chosen is not None,
-                "x0_nonzero": bool(chosen is not None and exponent_reports[chosen].x0_nonzero),
-                "exponents": {
-                    str(e): _witness_payload(rep) for e, rep in exponent_reports.items()
-                },
-                "note": note,
-            }
+    exponent_reports = {
+        e: biforms.nonflatness_witness(biforms.witness_curve(e))
+        for e in biforms.GAMMA_EXPONENTS
+    }
+    passing = [e for e, rep in exponent_reports.items() if rep.passed]
+    if passing == [-2]:
+        attention = True
+        chosen = -2
+        note = (
+            "identities hold for gamma exponent -2 only; the exponent -1"
+            " variant of the modulus fails them and is flagged as a"
+            " probable transcription error"
         )
+    elif passing == [-1]:
+        failures += 1
+        chosen = -1
+        note = (
+            "identities hold for gamma exponent -1 only, contradicting the"
+            " hand-derivation oracle; refusing to pass until reconciled"
+        )
+    elif not passing:
+        failures += 1
+        chosen = None
+        note = "no gamma exponent satisfies the identities"
     else:
-        exponent = int(gamma_exp)
-        report = biforms.nonflatness_witness(biforms.witness_curve(exponent))
-        if not report.passed:
-            failures += 1
-        items.append(
-            {
-                "check": "nonflatness",
-                "gamma_exp_used": exponent,
-                "identities": report.identities_hold,
-                "x0_nonzero": report.x0_nonzero,
-                "exponents": {str(exponent): _witness_payload(report)},
-                "note": "fixed gamma exponent requested",
-            }
+        failures += 1
+        chosen = None
+        note = (
+            "both gamma exponents satisfy the identities, contradicting"
+            " the hand-derivation oracle"
         )
+    items.append(
+        {
+            "check": "nonflatness",
+            "gamma_exp_used": chosen,
+            "identities": chosen is not None,
+            "x0_nonzero": bool(chosen is not None and exponent_reports[chosen].x0_nonzero),
+            "exponents": {
+                str(e): _witness_payload(rep) for e, rep in exponent_reports.items()
+            },
+            "note": note,
+        }
+    )
 
     if failures:
         status = "fail"
@@ -413,8 +397,7 @@ def run_appendix(window=biforms.MIN_WINDOW, gamma_exp="auto"):
 
 # -- orchestration ------------------------------------------------------------
 
-def run_suite(name, seed=DEFAULT_SEED, window=biforms.MIN_WINDOW, gamma_exp="auto",
-              entry=None, dim=None):
+def run_suite(name, seed=DEFAULT_SEED, window=biforms.MIN_WINDOW, entry=None, dim=None):
     if name == "normal-forms":
         return run_normal_forms(entry=entry, dim=dim)
     if name == "section5":
@@ -422,7 +405,7 @@ def run_suite(name, seed=DEFAULT_SEED, window=biforms.MIN_WINDOW, gamma_exp="aut
     if name == "brauer":
         return run_brauer(seed=seed)
     if name == "appendix":
-        return run_appendix(window=window, gamma_exp=gamma_exp)
+        return run_appendix(window=window)
     raise ValueError("unknown suite %r" % name)
 
 
@@ -434,15 +417,13 @@ def aggregate_status(statuses):
     return "pass"
 
 
-def run_all(seed=DEFAULT_SEED, window=biforms.MIN_WINDOW, gamma_exp="auto"):
-    suites = [
-        run_suite(name, seed=seed, window=window, gamma_exp=gamma_exp)
-        for name in SUITES
-    ]
+def run_all(seed=DEFAULT_SEED, window=biforms.MIN_WINDOW):
+    suites = [run_suite(name, seed=seed, window=window) for name in SUITES]
     return {
         "status": aggregate_status([s["status"] for s in suites]),
         "seed": seed,
-        "options": {"window": window, "gamma_exp": str(gamma_exp)},
+        # the appendix always tests both gamma exponents
+        "options": {"window": window, "gamma_exp": "auto"},
         "suites": suites,
     }
 

@@ -11,6 +11,7 @@ all operations are pure functions.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 
@@ -113,8 +114,8 @@ class LaurentPolynomial:
     """Immutable sparse polynomial over a :class:`VariableTable`.
 
     ``terms`` maps exponent tuples to nonzero coefficients; zero is the empty
-    map.  The canonical term order (used by ``__str__`` and by exact division)
-    is descending lexicographic on exponent vectors.
+    map.  The canonical term order (used by ``__str__`` and
+    ``leading_term``) is descending lexicographic on exponent vectors.
     """
 
     __slots__ = ("table", "terms", "_hash")
@@ -323,66 +324,34 @@ class LaurentPolynomial:
     # -- exact division ----------------------------------------------------
 
     def exact_div(self, den):
-        """Exact quotient ``q`` with ``q * den == self``.
+        """Exact quotient ``q`` with ``q * den == self`` by a monomial ``den``.
 
         Raises :class:`DivisionError` when no exact quotient exists in the
-        ring; for monomial divisors the error carries the non-divisible part
-        of the numerator as a remainder witness.
+        ring; the error carries the terms the monomial does not divide as a
+        remainder witness.  A divisor with more than one term is refused with
+        ``ValueError``: every divisor in the package is a monomial.
         """
         den = self._coerce(den)
         if den is NotImplemented:
             raise TypeError("cannot divide by %r" % (den,))
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
-        if den.is_monomial():
-            (dexps, dcoeff), = den.terms.items()
-            good, bad = {}, {}
-            for exps, coeff in self.terms.items():
-                shifted = tuple(a - b for a, b in zip(exps, dexps))
-                if self.table.allows(shifted):
-                    good[shifted] = coeff / dcoeff
-                else:
-                    bad[exps] = coeff
-            if bad:
-                raise DivisionError(
-                    "inexact division by monomial %s" % den,
-                    remainder=LaurentPolynomial(self.table, bad),
-                )
-            return LaurentPolynomial(self.table, good)
-        return self._general_exact_div(den)
-
-    def _general_exact_div(self, den):
-        # Quotient exponents are confined per variable to
-        # [val(num) - val(den), deg(num) - deg(den)]; in an integral domain
-        # both bounds are additive, so stepping outside the box proves
-        # inexactness and also forces termination.
-        lo = []
-        hi = []
-        for i, name in enumerate(self.table.names):
-            nv = min(e[i] for e in self.terms)
-            nd = max(e[i] for e in self.terms)
-            dv = min(e[i] for e in den.terms)
-            dd = max(e[i] for e in den.terms)
-            lo.append(nv - dv)
-            hi.append(nd - dd)
-            if nv - dv > nd - dd:
-                raise DivisionError("inexact division: %s does not divide %s" % (den, self))
-        dexps, dcoeff = den.leading_term()
-        rem = self
-        qterms = {}
-        while not rem.is_zero():
-            rexps, rcoeff = rem.leading_term()
-            qexps = tuple(a - b for a, b in zip(rexps, dexps))
-            if any(q < l or q > h for q, l, h in zip(qexps, lo, hi)):
-                raise DivisionError("inexact division: %s does not divide %s" % (den, self))
-            if not self.table.allows(qexps):
-                raise DivisionError("inexact division: quotient leaves the ring")
-            qcoeff = rcoeff / dcoeff
-            qterms[qexps] = qcoeff
-            rem = rem - LaurentPolynomial(self.table, {qexps: qcoeff}) * den
-        return LaurentPolynomial(self.table, qterms)
+        if not den.is_monomial():
+            raise ValueError("exact division is by monomials only, got %s" % den)
+        (dexps, dcoeff), = den.terms.items()
+        good, bad = {}, {}
+        for exps, coeff in self.terms.items():
+            shifted = tuple(a - b for a, b in zip(exps, dexps))
+            if self.table.allows(shifted):
+                good[shifted] = coeff / dcoeff
+            else:
+                bad[exps] = coeff
+        if bad:
+            raise DivisionError(
+                "inexact division by monomial %s" % den,
+                remainder=LaurentPolynomial(self.table, bad),
+            )
+        return LaurentPolynomial(self.table, good)
 
     # -- printing ----------------------------------------------------------
 
@@ -436,6 +405,16 @@ def _error(text, message, pos):
     return ParseError(message, pos)
 
 
+def _int(text, match, group):
+    """``int(match[group])``, or a parse error at the digit run when it is
+    longer than ``sys.get_int_max_str_digits()`` allows."""
+    digits, limit = match[group], sys.get_int_max_str_digits()
+    if 0 < limit < len(digits):
+        message = "integer of %d digits exceeds the limit of %d" % (len(digits), limit)
+        raise _error(text, message, match.start(group))
+    return int(digits)
+
+
 def parse(text, table):
     """Parse canonical polynomial text over the given table.
 
@@ -454,16 +433,16 @@ def parse(text, table):
             if num:
                 if slash and den is None:
                     raise _error(text, "expected an integer denominator", f.end())
-                if slash and not int(den):
+                if slash and not _int(text, f, 3):
                     raise _error(text, "zero denominator", f.start(3))
-                coeff *= Fraction(int(num), int(den)) if slash else int(num)
+                coeff *= Fraction(_int(text, f, 1), int(den)) if slash else _int(text, f, 1)
             elif name:
                 idx = table._index.get(name)
                 if idx is None:
                     raise _error(text, "unknown variable %r" % name, f.start(4))
                 if caret and power is None:
                     raise _error(text, "expected an integer exponent", f.end())
-                exps[idx] += (-int(power) if minus else int(power)) if caret else 1
+                exps[idx] += (-1 if minus else 1) * _int(text, f, 7) if caret else 1
             else:
                 raise _error(text, "expected a number or variable", f.end())
             nxt = _OPERATOR.match(text, f.end())

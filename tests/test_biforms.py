@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from test_linalg import intersect_row_spaces
+from test_linalg import intersect_row_spaces, naive_determinant
 
 from quadricbundles import biforms
 from quadricbundles.biforms import (
@@ -278,10 +278,17 @@ class TestFreeness:
     def test_duplicate_generator_gives_zero_determinant(self):
         from quadricbundles.linalg import determinant
 
+        forms = [list(form) for _, form in intersection_module().gens]
+        forms[8] = forms[0]
+        assert determinant(forms) == 0
+
+    def test_cofactor_expansion_of_the_generator_matrix(self):
+        # the full polynomial matrix, expanded without the multilinear split
         target = intersection_module()
         rows = [list(target.generator_vector(g).coords) for g in range(9)]
-        rows[8] = rows[0]
-        assert determinant(rows).is_zero()
+        assert sum(entry != 0 for row in rows for entry in row) == 28
+        det = naive_determinant(rows)
+        assert det == freeness_certificate().det == parse("64*r^13*s^12*t^12", RST)
 
 
 class TestGradedIntersection:

@@ -15,20 +15,19 @@ from quadricbundles.linalg import (
     row_space,
     rref,
 )
-from quadricbundles.rings import LaurentPolynomial, VariableTable, parse
-
-ST = VariableTable(("s", "t"))
 
 
 def naive_determinant(rows):
-    """Cofactor expansion; independent of the fraction-free elimination."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPolynomial.zero(rows[0][0].table)
-    for j in range(n):
+    """Cofactor expansion along the first row, skipping zero entries; works
+    for ints, Fractions and polynomials and is independent of elimination."""
+    if not rows:
+        return 1
+    total = 0
+    for j, entry in enumerate(rows[0]):
+        if entry == 0:
+            continue
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = rows[0][j] * naive_determinant(minor)
+        term = entry * naive_determinant(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -76,25 +75,46 @@ def intersect_row_spaces(spaces, dimension):
     return row_space(nullspace(constraints, dimension))
 
 
-def random_poly(rng, table, nterms=2, max_exp=2):
-    terms = {}
-    for _ in range(nterms):
-        exps = tuple(rng.randint(0, max_exp) for _ in table.names)
-        terms[exps] = Fraction(rng.randint(-5, 5))
-    return LaurentPolynomial(table, terms)
+def random_rational_matrix(rng, n):
+    """Small entries, a third of them zero; a fifth of the matrices get a
+    last row that combines two others, so singular ones occur."""
+
+    def entry():
+        return Fraction(rng.choice((0, 1, 1)) * rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        a, b = rng.sample(rows, 2)
+        c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[-1] = [c * x + d * y for x, y in zip(a, b)]
+    return rows
 
 
 class TestDeterminant:
     def test_matches_cofactor_expansion(self):
         rng = random.Random(17)
-        for n in (2, 3, 4):
-            for _ in range(10):
-                rows = [[random_poly(rng, ST) for _ in range(n)] for _ in range(n)]
-                assert determinant(rows) == naive_determinant(rows)
+        singular = 0
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(40):
+                rows = random_rational_matrix(rng, n)
+                det = determinant(rows)
+                assert type(det) is Fraction
+                assert det == naive_determinant(rows)
+                singular += det == 0
+        assert 20 <= singular <= 100
 
     def test_singular_matrix_gives_zero(self):
-        row = [parse("s", ST), parse("t", ST)]
-        assert determinant([row, row]).is_zero()
+        row = [Fraction(1, 2), 3]
+        assert determinant([row, row]) == 0
+        assert determinant([[0, 1], [0, 2]]) == 0
+
+    def test_integer_rows(self):
+        assert determinant([[2, 1], [1, 1]]) == 1
+        assert determinant([[0, 1], [1, 0]]) == -1
+        with pytest.raises(ValueError):
+            determinant([[1, 2]])
+        with pytest.raises(ValueError):
+            determinant([])
 
 
 class TestRationalMatrices:
