@@ -448,14 +448,26 @@ class TestExactDivision:
             parse("A^2", AB).exact_div(parse("B", AB))
         assert err.value.remainder == parse("A^2", AB)
 
-    def test_divisor_with_several_terms_is_refused(self):
-        # not an inexact division: the divisor's shape is refused whether or
-        # not a quotient exists
-        for num, den in (("s^2 - 1", "s - 1"), ("s^2 + 1", "s - 1"), ("0", "s^2 + s")):
-            with pytest.raises(ValueError, match="monomials only") as err:
-                parse(num, ST).exact_div(parse(den, ST))
-            assert not isinstance(err.value, DivisionError)
-            assert str(parse(den, ST)) in str(err.value)
+    @staticmethod
+    def assert_refused(num, den):
+        # not an inexact division: a divisor with several terms is refused
+        # for its shape, whether or not a quotient exists
+        with pytest.raises(ValueError, match="monomials only") as err:
+            parse(num, ST).exact_div(parse(den, ST))
+        assert not isinstance(err.value, DivisionError)
+        assert str(parse(den, ST)) in str(err.value)
+
+    def test_general_quotient(self):
+        # s^2 - 1 = (s - 1)(s + 1) has a quotient, s^2 + 1 has none; both
+        # divisions are refused alike
+        self.assert_refused("s^2 - 1", "s - 1")
+        self.assert_refused("s^2 + 1", "s - 1")
+
+    def test_general_quotient_leaving_the_ring(self):
+        # the quotient s^-1 of (s + 1) / (s^2 + s) would need s inverted; the
+        # binomial divisor is refused before that question arises
+        self.assert_refused("s + 1", "s^2 + s")
+        self.assert_refused("0", "s^2 + s")
 
     def test_inexact_in_fully_laurent_ring(self):
         # every monomial is a unit, so division by one is always exact; the
