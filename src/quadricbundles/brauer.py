@@ -27,10 +27,15 @@ integer these cannot factor raises ``FactorizationBoundError``.
 *Forms.*  On top of the symbols: quaternion splitting and ramification,
 restriction to a quadratic extension, corestriction via the projection
 formula, the classification invariants of rational quadratic forms, isotropy
-by the local-global principle, and Albert forms of quaternion pairs.
+by the local-global principle, and Albert forms of quaternion pairs.  By
+bilinearity, the Hasse invariant ``prod_(i<j) (d_i, d_j)_v`` reads each entry
+``p^(a_i) u_i`` once: with ``A = sum a_i`` it is ``(-1)^(eps(p) C(A,2)) prod
+(u_i/p)^(A - a_i)`` at odd p, ``(-1)^(C(E,2) + sum omega(u_i) (A - a_i))``
+with ``E = sum eps(u_i)`` at 2, and ``(-1)^C(neg,2)`` at the real place.
 Similarity is one linear system over F2 in the exponents of the scaling
 square class, built from ``s_v(c*f) = s_v(f) * (c, (-1)^(n(n-1)/2) d(f)^(n-1))_v``
-(Lam, *Introduction to Quadratic Forms over Fields*, Ch. V).
+from one local class of the second slot per place (Lam, *Introduction to
+Quadratic Forms over Fields*, Ch. V).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import isqrt
+from math import isqrt, prod
 
 #: Trial division uses every prime below this bound.
 TRIAL_DIVISION_LIMIT = 10**5
@@ -149,9 +154,6 @@ class Place:
     @property
     def is_real(self):
         return self.p is None
-
-    def sort_key(self):
-        return (0, 0) if self.is_real else (1, self.p)
 
     def __str__(self):
         return "real" if self.is_real else str(self.p)
@@ -441,13 +443,27 @@ class FormInvariants:
 
 
 def hasse_invariant(form, place):
-    """Product of ``(d_i, d_j)`` over ``i < j`` at the given place."""
-    result = 1
-    diag = form.diag
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            result *= hilbert_symbol(diag[i], diag[j], place)
-    return result
+    """Product of ``(d_i, d_j)`` over ``i < j`` at the given place.
+
+    By bilinearity each entry ``d_i = p^(a_i) u_i`` enters through its local
+    class alone: with ``A = sum a_i``, the pairs give ``sum_(i<j) a_i a_j =
+    C(A, 2)`` and ``u_i`` meets the ``A - a_i`` other entries of odd valuation.
+    So the invariant is ``(-1)^(eps(p) C(A, 2)) prod (u_i/p)^(A - a_i)`` at odd
+    p, ``(-1)^(C(E, 2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)``
+    at 2, and ``(-1)^C(neg, 2)`` at the real place: O(n) work, not C(n, 2).
+    """
+    if place.is_real:
+        neg = form.signature[1]
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    p = place.p
+    classes = [_local_class(x, p, 8 if p == 2 else p) for x in form.diag]
+    total = sum(a for a, _ in classes)
+    if p == 2:
+        units = sum(_epsilon(u) for _, u in classes)
+        e = units * (units - 1) // 2 + sum(_omega(u) * (total - a) for a, u in classes)
+        return -1 if e % 2 else 1
+    sign = -1 if total * (total - 1) // 2 * _epsilon(p) % 2 else 1
+    return sign * _legendre(prod(u for a, u in classes if (total - a) % 2), p)
 
 
 def form_invariants(form):
@@ -461,13 +477,10 @@ def form_invariants(form):
 def forms_equivalent(f, g):
     """Isometry over Q, decided by the classification invariants."""
     inv_f, inv_g = form_invariants(f), form_invariants(g)
-    if (inv_f.dim, inv_f.disc, inv_f.signature) != (inv_g.dim, inv_g.disc, inv_g.signature):
-        return False
-    places = {v for v, _ in inv_f.hasse} | {v for v, _ in inv_g.hasse}
-    return all(
-        hasse_invariant(f, v) == hasse_invariant(g, v)
-        for v in sorted(places, key=Place.sort_key)
-    )
+    hasse_f, hasse_g = dict(inv_f.hasse), dict(inv_g.hasse)
+    return (inv_f.dim, inv_f.disc, inv_f.signature) == (
+        inv_g.dim, inv_g.disc, inv_g.signature
+    ) and all(hasse_f.get(v, 1) == hasse_g.get(v, 1) for v in hasse_f.keys() | hasse_g.keys())
 
 
 def _locally_isotropic(inv, place, epsilon):
@@ -499,23 +512,6 @@ def is_isotropic(form):
         return form.disc == -1
     inv = form_invariants(form)
     return all(_locally_isotropic(inv, place, epsilon) for place, epsilon in inv.hasse)
-
-
-def is_isotropic_over_quadratic(form, d):
-    """Isotropy of a rational form of dimension >= 5 over Q(sqrt(d)).
-
-    Completions at finite places of a number field make any form of
-    dimension >= 5 isotropic, so only the real embeddings decide: none exist
-    for d < 0, and for d > 0 both restrict the rational entries with their
-    original signs.
-    """
-    if form.dim < 5:
-        raise ValueError("quadratic-extension isotropy implemented for dim >= 5 only")
-    d = _validate_quadratic_d(d)
-    if d < 0:
-        return True
-    pos, neg = form.signature
-    return pos > 0 and neg > 0
 
 
 def _least_solution(rows):
@@ -571,7 +567,8 @@ def forms_similar(f, g):
     primes = sorted(primes)
     sign_bit = 1 << len(primes)
     inv_f, inv_g = form_invariants(f), form_invariants(g)
-    hasse_f, hasse_g = dict(inv_f.hasse), dict(inv_g.hasse)
+    hasse_f = {v.p: h for v, h in inv_f.hasse}
+    hasse_g = {v.p: h for v, h in inv_g.hasse}
 
     flipped = inv_f.signature[::-1]
     if inv_g.signature not in (inv_f.signature, flipped):
@@ -588,14 +585,18 @@ def forms_similar(f, g):
     elif inv_f.disc != inv_g.disc:
         return False, None
 
+    # (c, e)_v for c = -1 and each p: only signs matter at the real place; at
+    # a prime l, -1 has class (0, m - 1) and p has (1, 1) if p = l, else (0, p).
     e = (-1) ** (n * (n - 1) // 2) * (inv_f.disc if n % 2 == 0 else 1)
-    for place in [REAL] + [Place.prime(p) for p in primes]:
-        mask = sign_bit if hilbert_symbol(-1, e, place) == -1 else 0
+    rows.append((sign_bit if e < 0 else 0, int(hasse_f.get(None, 1) != hasse_g.get(None, 1))))
+    for ell in primes:
+        m = 8 if ell == 2 else ell
+        beta, w = _local_class(e, ell, m)
+        mask = sign_bit if _hilbert_formula(0, m - 1, beta, w, ell) == -1 else 0
         for i, p in enumerate(primes):
-            if hilbert_symbol(p, e, place) == -1:
+            if _hilbert_formula(*((1, 1) if p == ell else (0, p % m)), beta, w, ell) == -1:
                 mask |= 1 << i
-        rhs = int(hasse_f.get(place, 1) != hasse_g.get(place, 1))
-        rows.append((mask, rhs))
+        rows.append((mask, int(hasse_f.get(ell, 1) != hasse_g.get(ell, 1))))
 
     x = _least_solution(rows)
     if x is None:
@@ -645,26 +646,24 @@ def verify_quaternion_descent_instance(p, q, r, d):
     (i) the six-dimensional form ``<1, -d, -p, q, r, -d*p*q*r>`` is compared
     for similarity with the Albert form of the pair ``(p, d), (d*p*q, d*p*r)``;
     (ii) ``(p, d)`` must split over Q(sqrt(d)); (iii) the residual class
-    ``(d*p*q, d*p*r)`` is reported.  A non-similar outcome only contradicts
-    the descent argument when the pair's class is a biquaternion division
-    algebra split by the extension, so that hypothesis is evaluated too.
+    ``(d*p*q, d*p*r)`` is reported.  The instance is consistent when the two
+    forms are similar and the Albert form is isotropic; its anisotropy, which
+    ``hypothesis_division_split`` reports, would make the pair a biquaternion
+    division algebra (Albert).  Over Q that never happens: a six-dimensional
+    form is isotropic iff indefinite (Hasse-Minkowski).
     """
     p, q, r = (Fraction(x) for x in (p, q, r))
     d = _validate_quadratic_d(d)
     for label, x in (("p", p), ("q", q), ("r", r)):
         _as_nonzero_fraction(x, label)
-    isotropy_form = RationalQuadraticForm(
-        tuple(
-            Fraction(squarefree_part(x))
-            for x in (Fraction(1), Fraction(-d), -p, q, r, -d * p * q * r)
-        )
-    )
+    entries = (Fraction(1), Fraction(-d), -p, q, r, -d * p * q * r)
+    isotropy_form = RationalQuadraticForm(tuple(Fraction(squarefree_part(x)) for x in entries))
     first = QuaternionClass(p, Fraction(d))
     second = QuaternionClass(d * p * q, d * p * r)
     pair_form = albert_form(first, second)
     similar, scale = forms_similar(isotropy_form, pair_form)
     splits = splits_over_quadratic(first, d)
-    hypothesis = not is_isotropic(pair_form) and is_isotropic_over_quadratic(pair_form, d)
+    isotropic = is_isotropic(pair_form)
     return DescentReport(
         p=p,
         q=q,
@@ -676,6 +675,6 @@ def verify_quaternion_descent_instance(p, q, r, d):
         scale=scale,
         splits_over_extension=splits,
         residual_class=second,
-        hypothesis_division_split=hypothesis,
-        consistent=similar or not hypothesis,
+        hypothesis_division_split=not isotropic,
+        consistent=similar and isotropic,
     )

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadricbundles import brauer
+from quadricbundles import brauer, reports
 from quadricbundles.brauer import (
     MILLER_RABIN_LIMIT,
     REAL,
@@ -26,7 +27,6 @@ from quadricbundles.brauer import (
     hilbert_symbol,
     hilbert_symbol_search,
     is_isotropic,
-    is_isotropic_over_quadratic,
     is_local_square,
     prime_support,
     quaternion_is_split,
@@ -47,6 +47,24 @@ def random_rational(rng, bound=40, max_den=8):
     return Fraction(num, rng.randint(1, max_den))
 
 
+def pairwise_hasse(form, place):
+    """Hasse invariant as the product of one Hilbert symbol per pair i < j."""
+    result = 1
+    diag = form.diag
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            result *= hilbert_symbol(diag[i], diag[j], place)
+    return result
+
+
+def isometric_by_pairwise(f, g):
+    """Isometry over Q from dimension, discriminant, signature and the
+    pairwise Hasse invariants at every place where either can be -1."""
+    return (f.dim, f.disc, f.signature) == (g.dim, g.disc, g.signature) and all(
+        pairwise_hasse(f, v) == pairwise_hasse(g, v) for v in relevant_places(f.diag + g.diag)
+    )
+
+
 def previous_locally_isotropic(form, place):
     """Local isotropy as first written: every invariant recomputed at each
     place, with branches for every dimension."""
@@ -57,7 +75,7 @@ def previous_locally_isotropic(form, place):
         return pos > 0 and neg > 0
     if n >= 5:
         return True
-    epsilon = hasse_invariant(form, place)
+    epsilon = pairwise_hasse(form, place)
     d = inv.disc
     if n == 3:
         return hilbert_symbol(-1, -d, place) == epsilon
@@ -345,6 +363,82 @@ class TestForms:
                 assert form_invariants(f).disc == form_invariants(g).disc
 
 
+#: Real, 2, a prime 1 mod 4, a prime 3 mod 4, and one past 10.
+HASSE_PLACES = (REAL,) + tuple(Place.prime(p) for p in (2, 5, 7, 11))
+
+
+def local_entry(rng, ell):
+    """A signed fraction whose ell-adic valuation is -3..3, both parts of
+    its unit drawn from 1..40 prime to ell."""
+    units = [x for x in range(1, 41) if x % ell]
+    power = ell ** rng.randint(0, 3)
+    num, den = rng.choice((1, -1)) * rng.choice(units), rng.choice(units)
+    return Fraction(num * power, den) if rng.random() < 0.5 else Fraction(num, den * power)
+
+
+class TestHasseClosedForm:
+    def test_matches_pairwise_product(self):
+        rng = random.Random(70)
+        seen = {(v, dim): set() for v in HASSE_PLACES for dim in range(2, 8)}
+        for _ in range(2500):
+            place = rng.choice(HASSE_PLACES)
+            ell = rng.choice((2, 5, 7, 11)) if place.is_real else place.p
+            dim = rng.randint(1, 7)
+            form = RationalQuadraticForm(tuple(local_entry(rng, ell) for _ in range(dim)))
+            expected = pairwise_hasse(form, place)
+            assert hasse_invariant(form, place) == expected, (str(form), str(place))
+            if dim > 1:
+                seen[place, dim].add(expected)
+        assert hasse_invariant(RationalQuadraticForm((-3,)), REAL) == 1
+        # every place and dimension >= 2 meets both values
+        assert all(values == {1, -1} for values in seen.values())
+
+    @pytest.mark.parametrize(
+        "diag, place, expected",
+        [
+            # odd p: C(A, 2) = 1 pair of odd valuations, eps(3) = 1
+            ((3, 3), Place.prime(3), -1),
+            # odd p: u_i meets the A - a_i other entries of odd valuation, not A
+            ((10, 3), Place.prime(5), -1),
+            ((10, 5), Place.prime(5), -1),
+            # p = 2: C(E, 2) from units 3 mod 4, omega(u_i) met A - a_i times
+            ((3, 7), Place.prime(2), -1),
+            ((-1, -1, -1), Place.prime(2), -1),
+            ((6, 5), Place.prime(2), -1),
+            ((-1, -1, -1), REAL, -1),
+            ((-1, -1), REAL, -1),
+        ],
+    )
+    def test_each_term_of_the_closed_form(self, diag, place, expected):
+        form = RationalQuadraticForm(diag)
+        assert pairwise_hasse(form, place) == expected
+        assert hasse_invariant(form, place) == expected
+
+    def test_forms_equivalent_matches_pairwise_isometry(self):
+        rng = random.Random(71)
+        pool = [1, 2, 3, 5, 6, 7, 10, Fraction(1, 3)]
+        equivalent = 0
+        for _ in range(400):
+            dim = rng.randint(1, 5)
+            f = RationalQuadraticForm(
+                tuple(rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim))
+            )
+            if rng.random() < 0.5:
+                # a square multiple of f with two entries re-split: <a, b> = <a+b, ab(a+b)>
+                entries = [x * rng.choice((1, 4, Fraction(1, 9))) for x in f.diag]
+                if dim > 1 and entries[0] + entries[1]:
+                    a, b = entries[:2]
+                    entries[:2] = [a + b, a * b * (a + b)]
+                rng.shuffle(entries)
+            else:
+                entries = [rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim)]
+            g = RationalQuadraticForm(tuple(entries))
+            expected = isometric_by_pairwise(f, g)
+            assert forms_equivalent(f, g) == expected, (str(f), str(g))
+            equivalent += expected
+        assert 150 < equivalent < 350
+
+
 class TestAlbertForms:
     def test_descent_pair_example(self):
         form = albert_form(QuaternionClass(3, 2), QuaternionClass(30, 42))
@@ -418,6 +512,40 @@ class TestDescentInstances:
             assert report.splits_over_extension
             assert report.consistent
             count += 1
+
+    def test_anisotropic_albert_form_is_inconsistent(self, monkeypatch):
+        # similarity alone does not make an instance consistent
+        monkeypatch.setattr(brauer, "is_isotropic", lambda form: False)
+        report = verify_quaternion_descent_instance(3, 5, 7, 2)
+        assert report.similar
+        assert report.hypothesis_division_split
+        assert not report.consistent
+
+    def test_non_similar_forms_fail_the_cli(self, monkeypatch, tmp_path, capsys):
+        from quadricbundles.cli import main
+
+        monkeypatch.setattr(brauer, "forms_similar", lambda f, g: (False, None))
+        path = tmp_path / "brauer.json"
+        assert main(["run", "brauer", "--seed", "7", "--json", str(path)]) == 1
+        assert "brauer: fail" in capsys.readouterr().out
+        items = {item["check"]: item for item in json.loads(path.read_text())["items"]}
+        assert items["quaternion-descent-instances"]["inconsistent"] == reports.DESCENT_SAMPLES
+        assert not items["worked-descent-example"]["consistent"]
+
+    def test_definite_albert_forms_fail_the_suite(self, monkeypatch):
+        albert = brauer.albert_form
+        monkeypatch.setattr(
+            brauer,
+            "albert_form",
+            lambda q1, q2: RationalQuadraticForm(tuple(abs(x) for x in albert(q1, q2).diag)),
+        )
+        payload = reports.run_brauer(7)
+        assert payload["status"] == "fail"
+        items = {item["check"]: item for item in payload["items"]}
+        descents = items["quaternion-descent-instances"]
+        assert descents["inconsistent"] == reports.DESCENT_SAMPLES
+        assert all(detail["hypothesis_division_split"] for detail in descents["details"])
+        assert not items["worked-descent-example"]["consistent"]
 
     def test_d_must_be_squarefree_nonsquare(self):
         with pytest.raises(ValueError):
@@ -566,7 +694,7 @@ def similar_by_enumeration(f, g):
             for i, p in enumerate(primes):
                 if mask >> i & 1:
                     c *= p
-            if forms_equivalent(RationalQuadraticForm(tuple(c * x for x in f.diag)), g):
+            if isometric_by_pairwise(RationalQuadraticForm(tuple(c * x for x in f.diag)), g):
                 return True, c
     return False, None
 
@@ -592,6 +720,35 @@ class TestSimilaritySolve:
             assert forms_similar(f, g) == expected, (str(f), str(g))
             similar += expected[0]
         assert 600 < similar < 1800
+
+    def test_makes_no_hilbert_symbol_calls(self, monkeypatch):
+        # the rows and the Hasse invariants come from local classes alone
+        rng = random.Random(64)
+        pool = [1, 2, 3, 5, 7, 6, 10, Fraction(1, 2), Fraction(3, 5)]
+        pairs = [
+            (report.isotropy_form, report.albert_pair_form)
+            for report in (
+                verify_quaternion_descent_instance(p, q, r, d)
+                for p, q, r, d in ((3, 5, 7, 2), (2, 3, 5, -1), (-7, 10, 3, 17))
+            )
+        ]
+        for _ in range(200):
+            dim = rng.randint(1, 6)
+            f, g = (
+                RationalQuadraticForm(
+                    tuple(rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim))
+                )
+                for _ in range(2)
+            )
+            pairs.append((f, g))
+        expected = [similar_by_enumeration(f, g) for f, g in pairs]
+
+        def refuse(*args):
+            raise AssertionError("forms_similar called hilbert_symbol")
+
+        monkeypatch.setattr(brauer, "hilbert_symbol", refuse)
+        assert [forms_similar(f, g) for f, g in pairs] == expected
+        assert sum(similar for similar, _ in expected) > 20
 
     def test_thirteen_prime_non_similar_pair_is_fast(self):
         f = RationalQuadraticForm((3 * 5, 7 * 11, -13 * 17, 19 * 23, -29 * 31, 2 * 37 * 41))

@@ -2,6 +2,8 @@
 every module it imports is its own or in the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +87,17 @@ def test_detects_a_third_party_import():
         "from __future__ import annotations\n"
     )
     assert non_stdlib_imports(source) == [(1, "numpy"), (4, "sympy.ntheory")]
+
+
+def test_brauer_import_builds_no_cache():
+    # the prime sieve and the factorizations are built on first use, so
+    # importing the module costs no arithmetic
+    code = (
+        "import quadricbundles.brauer as b; "
+        "print(b._small_primes.cache_info().currsize, b._factor.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["0", "0"]
