@@ -27,11 +27,12 @@ integer these cannot factor raises ``FactorizationBoundError``.
 *Forms.*  On top of the symbols: quaternion splitting and ramification,
 restriction to a quadratic extension, corestriction via the projection
 formula, the classification invariants of rational quadratic forms, isotropy
-by the local-global principle, and Albert forms of quaternion pairs.  By
-bilinearity, the Hasse invariant ``prod_(i<j) (d_i, d_j)_v`` reads each entry
-``p^(a_i) u_i`` once: with ``A = sum a_i`` it is ``(-1)^(eps(p) C(A,2)) prod
-(u_i/p)^(A - a_i)`` at odd p, ``(-1)^(C(E,2) + sum omega(u_i) (A - a_i))``
-with ``E = sum eps(u_i)`` at 2, and ``(-1)^C(neg,2)`` at the real place.
+in dimension >= 5 by the local-global principle, and Albert forms of
+quaternion pairs.  By bilinearity, the Hasse invariant
+``prod_(i<j) (d_i, d_j)_v`` reads each entry ``p^(a_i) u_i`` once: with
+``A = sum a_i`` it is ``(-1)^(eps(p) C(A,2)) prod (u_i/p)^(A - a_i)`` at odd
+p, ``(-1)^(C(E,2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)``
+at 2, and ``(-1)^C(neg,2)`` at the real place.
 Similarity is one linear system over F2 in the exponents of the scaling
 square class, built from ``s_v(c*f) = s_v(f) * (c, (-1)^(n(n-1)/2) d(f)^(n-1))_v``
 from one local class of the second slot per place (Lam, *Introduction to
@@ -95,6 +96,7 @@ def _miller_rabin(n):
     return True
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n):
     """Exact primality of an integer; raises past ``MILLER_RABIN_LIMIT``."""
     if n < 2:
@@ -483,35 +485,17 @@ def forms_equivalent(f, g):
     ) and all(hasse_f.get(v, 1) == hasse_g.get(v, 1) for v in hasse_f.keys() | hasse_g.keys())
 
 
-def _locally_isotropic(inv, place, epsilon):
-    """Isotropy at ``place`` of a form of dimension 3 or 4 with invariants
-    ``inv`` and Hasse invariant ``epsilon`` there."""
-    if place.is_real:
-        pos, neg = inv.signature
-        return pos > 0 and neg > 0
-    if inv.dim == 3:
-        return hilbert_symbol(-1, -inv.disc, place) == epsilon
-    return not is_local_square(inv.disc, place) or epsilon == hilbert_symbol(-1, -1, place)
-
-
 def is_isotropic(form):
-    """Does the form represent zero nontrivially over Q?
+    """Does a form of dimension >= 5 represent zero nontrivially over Q?
 
-    Local-global principle: dimensions 3 and 4 are checked at the real place
-    and the primes dividing the entries (elsewhere the local conditions hold
-    automatically); dimension >= 5 is isotropic at every finite place, so
-    only indefiniteness at the real place matters.
+    Such a form is isotropic at every finite place, so by the local-global
+    principle it is isotropic iff it is indefinite.  The descent asks this of
+    six-dimensional Albert forms only; smaller dimensions raise ``ValueError``.
     """
-    n = form.dim
-    if n == 1:
-        return False
-    if n >= 5:
-        pos, neg = form.signature
-        return pos > 0 and neg > 0
-    if n == 2:
-        return form.disc == -1
-    inv = form_invariants(form)
-    return all(_locally_isotropic(inv, place, epsilon) for place, epsilon in inv.hasse)
+    if form.dim < 5:
+        raise ValueError("isotropy is decided for dimension >= 5, got %d" % form.dim)
+    pos, neg = form.signature
+    return pos > 0 and neg > 0
 
 
 def _least_solution(rows):

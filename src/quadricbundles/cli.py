@@ -134,23 +134,6 @@ def _build_parser():
     run.add_argument("--dim", type=_dim, default=None)
     run.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
-    nf = sub.add_parser("verify-normal-forms", help="one normal form, as JSON")
-    nf.add_argument(
-        "--entry", type=_any_integer, required=True, choices=reports.ENTRIES["normal-forms"]
-    )
-    nf.add_argument("--dim", type=_dim, default=None)
-    nf.add_argument("--json", dest="json_path", type=_json_path, default=None)
-
-    s5 = sub.add_parser("verify-section5", help="one cover map, as JSON")
-    s5.add_argument(
-        "--entry", type=_any_integer, required=True, choices=reports.ENTRIES["section5"]
-    )
-    s5.add_argument("--json", dest="json_path", type=_json_path, default=None)
-
-    ap = sub.add_parser("verify-appendix", help="biform-module computations")
-    ap.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
-    ap.add_argument("--json", dest="json_path", type=_json_path, default=None)
-
     br = sub.add_parser("brauer", help="quaternion and quadratic form reports")
     brsub = br.add_subparsers(dest="brauer_command", required=True)
     hil = brsub.add_parser("hilbert", help="one Hilbert symbol, formula and oracle")
@@ -165,14 +148,6 @@ def _build_parser():
     alb.add_argument("--d", type=_any_integer, required=True)
     alb.add_argument("--json", dest="json_path", type=_json_path, default=None)
     return parser
-
-
-def _check_dimension(parser, entries, dim):
-    """Usage error for a ``dim`` below the minimum of an entry that would run."""
-    try:
-        bundles.check_dimension(max(entries, key=bundles.MIN_DIMENSION.get), dim)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _validate_run(parser, args):
@@ -191,7 +166,10 @@ def _validate_run(parser, args):
             )
         entries = [args.entry]
     if args.dim is not None:
-        _check_dimension(parser, entries, args.dim)
+        try:
+            bundles.check_dimension(max(entries, key=bundles.MIN_DIMENSION.get), args.dim)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _exit_code(status):
@@ -246,74 +224,53 @@ def main(argv=None):
     if args.command == "run":
         return _run_command(parser, args)
 
-    if args.command == "verify-normal-forms":
-        if args.dim is not None:
-            _check_dimension(parser, [args.entry], args.dim)
-        payload = reports.normal_form_item(args.entry, args.dim)
+    if args.brauer_command == "hilbert":
+        a, b, place = args.a, args.b, args.place
+        symbol = brauer.hilbert_symbol(a, b, place)
+        try:
+            search = brauer.hilbert_symbol_search(a, b, place)
+        except ValueError as exc:
+            parser.error(str(exc))
+        payload = {
+            "a": str(a),
+            "b": str(b),
+            "place": str(place),
+            "symbol": symbol,
+            "search_oracle": search,
+            "agree": symbol == search,
+        }
         _emit(payload, args.json_path, sys.stdout)
-        return 0
+        return 0 if symbol == search else 1
 
-    if args.command == "verify-section5":
-        payload = reports.section5_item(args.entry)
-        _emit(payload, args.json_path, sys.stdout)
-        ok = payload["equivariance"] == "pass" and payload["inverse"] == "pass"
-        return 0 if ok else 1
-
-    if args.command == "verify-appendix":
-        payload = reports.run_appendix(window=args.window)
-        _emit(payload, args.json_path, sys.stdout)
-        return _exit_code(payload["status"])
-
-    if args.command == "brauer":
-        if args.brauer_command == "hilbert":
-            a, b, place = args.a, args.b, args.place
-            symbol = brauer.hilbert_symbol(a, b, place)
-            try:
-                search = brauer.hilbert_symbol_search(a, b, place)
-            except ValueError as exc:
-                parser.error(str(exc))
-            payload = {
-                "a": str(a),
-                "b": str(b),
-                "place": str(place),
-                "symbol": symbol,
-                "search_oracle": search,
-                "agree": symbol == search,
-            }
-            _emit(payload, args.json_path, sys.stdout)
-            return 0 if symbol == search else 1
-        if args.brauer_command == "albert":
-            p, q, r, d = args.p, args.q, args.r, args.d
-            try:
-                report = brauer.verify_quaternion_descent_instance(p, q, r, d)
-            except ValueError as exc:
-                parser.error(str(exc))
-            payload = {
-                "p": str(p),
-                "q": str(q),
-                "r": str(r),
-                "d": d,
-                "pair": [
-                    [str(p), str(d)],
-                    [str(report.residual_class.a), str(report.residual_class.b)],
-                ],
-                "isotropy_form": str(report.isotropy_form),
-                "albert_pair_form": str(report.albert_pair_form),
-                "invariants": {
-                    "isotropy_form": _invariant_table(report.isotropy_form),
-                    "albert_pair_form": _invariant_table(report.albert_pair_form),
-                },
-                "similar": report.similar,
-                "scale": report.scale,
-                "splits_over_extension": report.splits_over_extension,
-                "hypothesis_division_split": report.hypothesis_division_split,
-                "consistent": report.consistent,
-            }
-            _emit(payload, args.json_path, sys.stdout)
-            return 0 if report.consistent else 1
-
-    parser.error("unknown command")
-    return 2
+    # brauer albert
+    p, q, r, d = args.p, args.q, args.r, args.d
+    try:
+        report = brauer.verify_quaternion_descent_instance(p, q, r, d)
+    except ValueError as exc:
+        parser.error(str(exc))
+    payload = {
+        "p": str(p),
+        "q": str(q),
+        "r": str(r),
+        "d": d,
+        "pair": [
+            [str(p), str(d)],
+            [str(report.residual_class.a), str(report.residual_class.b)],
+        ],
+        "isotropy_form": str(report.isotropy_form),
+        "albert_pair_form": str(report.albert_pair_form),
+        "invariants": {
+            "isotropy_form": _invariant_table(report.isotropy_form),
+            "albert_pair_form": _invariant_table(report.albert_pair_form),
+        },
+        "similar": report.similar,
+        "scale": report.scale,
+        "splits_over_extension": report.splits_over_extension,
+        "hypothesis_division_split": report.hypothesis_division_split,
+        "consistent": report.consistent,
+    }
+    _emit(payload, args.json_path, sys.stdout)
+    return 0 if report.consistent else 1
 
 
 def _invariant_table(form):

@@ -180,13 +180,9 @@ class GeneratorSigns:
     rescale: int
 
 
-@dataclass(frozen=True)
-class SignCharacter:
-    generators: tuple
-
-
 def infer_sign_action(cover):
-    """Signs on A..D making each generator rescale the map by a common factor.
+    """Signs on A..D making each generator rescale the map by a common factor,
+    as one ``GeneratorSigns`` per generator ``s_1..s_m``.
 
     For generator i (``s_i -> -s_i``) the condition ``sign_X * (-1)^(s_i-degree
     of X's monomial) = common factor`` determines the sign vector up to a
@@ -213,7 +209,7 @@ def infer_sign_action(cover):
         generators.append(
             GeneratorSigns(s_index=i, letter_signs=chosen, rescale=rescale)
         )
-    return SignCharacter(generators=tuple(generators))
+    return tuple(generators)
 
 
 def _generator_substitution(cover, gen, letter_signs):
@@ -254,8 +250,9 @@ class EquivarianceReport:
     failures: tuple
 
 
-def verify_projective_equivariance(cover, character):
-    """Check that the inferred action really makes the map descend.
+def verify_projective_equivariance(cover, generators):
+    """Check that the inferred action (the ``GeneratorSigns`` of
+    ``infer_sign_action``) really makes the map descend.
 
     For each generator: the four projective components must rescale by one
     common factor in {+1, -1} times an s-monomial, the base components must
@@ -263,7 +260,7 @@ def verify_projective_equivariance(cover, character):
     """
     failures = []
     factors = []
-    for gen in character.generators:
+    for gen in generators:
         sub = _generator_substitution(cover, gen.s_index, gen.letter_signs)
         transformed = [sub(img) for img in cover.proj_images]
         factor = None

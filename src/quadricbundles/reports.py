@@ -96,8 +96,8 @@ def run_normal_forms(entry=None, dim=None):
 def section5_item(entry):
     cover = covers.cover_map(entry)
     monomial, residual = covers.pullback_factorization(cover)
-    character = covers.infer_sign_action(cover)
-    equivariance = covers.verify_projective_equivariance(cover, character)
+    generators = covers.infer_sign_action(cover)
+    equivariance = covers.verify_projective_equivariance(cover, generators)
     inverse = covers.generic_fiber_inverse(cover)
     return {
         "entry": entry,
@@ -114,7 +114,7 @@ def section5_item(entry):
                 "letter_signs": list(gen.letter_signs),
                 "rescale": gen.rescale,
             }
-            for gen in character.generators
+            for gen in generators
         ],
         "equivariance": "pass" if equivariance.passed else "fail",
         "equivariance_failures": list(equivariance.failures),

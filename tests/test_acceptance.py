@@ -62,9 +62,9 @@ def test_criterion_2_cover_map_suite():
             (exps, coeff), = monomial.terms.items()
             assert coeff == 1
             assert all(e % 2 == 0 for e in exps)
-            character = covers.infer_sign_action(cover)
-            assert len(character.generators) == cover.m
-            report = covers.verify_projective_equivariance(cover, character)
+            generators = covers.infer_sign_action(cover)
+            assert len(generators) == cover.m
+            report = covers.verify_projective_equivariance(cover, generators)
             assert report.passed
             inverse = covers.generic_fiber_inverse(cover)
             assert inverse.verified

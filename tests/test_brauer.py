@@ -65,6 +65,32 @@ def isometric_by_pairwise(f, g):
     )
 
 
+def locally_isotropic(inv, place, epsilon):
+    """Isotropy at ``place`` of a form of dimension 3 or 4 with invariants
+    ``inv`` and Hasse invariant ``epsilon`` there."""
+    if place.is_real:
+        pos, neg = inv.signature
+        return pos > 0 and neg > 0
+    if inv.dim == 3:
+        return hilbert_symbol(-1, -inv.disc, place) == epsilon
+    return not is_local_square(inv.disc, place) or epsilon == hilbert_symbol(-1, -1, place)
+
+
+def isotropic(form):
+    """Isotropy over Q in every dimension: ``is_isotropic`` from dimension 5
+    on, and below it the local-global principle, checked at the real place and
+    the primes dividing the entries (elsewhere the local conditions hold)."""
+    n = form.dim
+    if n >= 5:
+        return is_isotropic(form)
+    if n == 1:
+        return False
+    if n == 2:
+        return form.disc == -1
+    inv = form_invariants(form)
+    return all(locally_isotropic(inv, place, epsilon) for place, epsilon in inv.hasse)
+
+
 def previous_locally_isotropic(form, place):
     """Local isotropy as first written: every invariant recomputed at each
     place, with branches for every dimension."""
@@ -89,7 +115,7 @@ def previous_locally_isotropic(form, place):
 
 
 def previous_is_isotropic(form):
-    """Oracle for ``is_isotropic``: the version built on
+    """Oracle for ``isotropic``: the version built on
     ``previous_locally_isotropic``."""
     n = form.dim
     if n == 1:
@@ -208,7 +234,7 @@ class TestQuaternions:
             b = random_rational(rng)
             split, _ = quaternion_is_split(QuaternionClass(a, b))
             form = RationalQuadraticForm((a, b, Fraction(-1)))
-            assert split == is_isotropic(form)
+            assert split == isotropic(form)
 
     def test_splits_over_quadratic(self):
         assert splits_over_quadratic(QuaternionClass(1, 5), 2)
@@ -272,15 +298,21 @@ class TestForms:
     def test_hyperbolic_plane(self):
         form = RationalQuadraticForm((1, -1))
         assert form_invariants(form).disc == -1
-        assert is_isotropic(form)
+        assert isotropic(form)
 
     def test_isotropy_examples(self):
-        assert is_isotropic(RationalQuadraticForm((1, 1, -2)))       # (1,1,1)
-        assert not is_isotropic(RationalQuadraticForm((1, 1, 1)))
+        assert isotropic(RationalQuadraticForm((1, 1, -2)))       # (1,1,1)
+        assert not isotropic(RationalQuadraticForm((1, 1, 1)))
         assert is_isotropic(RationalQuadraticForm((1, 1, 1, 1, -7)))
-        assert not is_isotropic(RationalQuadraticForm((1,)))
-        assert not is_isotropic(RationalQuadraticForm((2, 3)))
-        assert is_isotropic(RationalQuadraticForm((2, -8)))
+        assert not is_isotropic(RationalQuadraticForm((1, 1, 1, 1, 7)))
+        assert not isotropic(RationalQuadraticForm((1,)))
+        assert not isotropic(RationalQuadraticForm((2, 3)))
+        assert isotropic(RationalQuadraticForm((2, -8)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_isotropy_below_dimension_five_is_refused(self, dim):
+        with pytest.raises(ValueError, match="dimension >= 5"):
+            is_isotropic(RationalQuadraticForm((1, -1, 1, -1)[:dim]))
 
     def test_isotropy_against_small_witness_search(self):
         rng = random.Random(49)
@@ -300,7 +332,7 @@ class TestForms:
                     witness = vec
                     break
             if witness is not None:
-                assert is_isotropic(form), (form, witness)
+                assert isotropic(form), (form, witness)
 
     def test_isotropy_matches_the_previous_version(self):
         rng = random.Random(52)
@@ -308,17 +340,17 @@ class TestForms:
         for _ in range(3000):
             dim = rng.randint(1, 6)
             form = RationalQuadraticForm(tuple(random_rational(rng) for _ in range(dim)))
-            isotropic = is_isotropic(form)
-            assert isotropic == previous_is_isotropic(form), form
-            outcomes[dim].add(isotropic)
+            verdict = isotropic(form)
+            assert verdict == previous_is_isotropic(form), form
+            outcomes[dim].add(verdict)
         # both answers occur in every dimension that admits both
         assert outcomes[1] == {False}
         assert all(outcomes[dim] == {False, True} for dim in range(2, 7))
 
     def test_anisotropic_four_dimensional(self):
         # the norm form of the Hamilton quaternions
-        assert not is_isotropic(RationalQuadraticForm((1, 1, 1, 1)))
-        assert is_isotropic(RationalQuadraticForm((1, 1, 1, -1)))
+        assert not isotropic(RationalQuadraticForm((1, 1, 1, 1)))
+        assert isotropic(RationalQuadraticForm((1, 1, 1, -1)))
 
     def test_similarity_reflexive(self):
         form = RationalQuadraticForm((1, -2, 3))

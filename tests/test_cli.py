@@ -49,13 +49,6 @@ BOUNDS = {
     (("run",), "--entry"): (["section5"], "8", "9"),
     (("run",), "--dim"): (["normal-forms"], MAX_DIM, PAST_DIM),
     (("run",), "--json"): (["section5"], "report.json", MISSING_DIR_JSON),
-    (("verify-normal-forms",), "--entry"): ([], "8", "9"),
-    (("verify-normal-forms",), "--dim"): (["--entry", "8"], MAX_DIM, PAST_DIM),
-    (("verify-normal-forms",), "--json"): (["--entry", "8"], "report.json", MISSING_DIR_JSON),
-    (("verify-section5",), "--entry"): ([], "8", "9"),
-    (("verify-section5",), "--json"): (["--entry", "8"], "report.json", MISSING_DIR_JSON),
-    (("verify-appendix",), "--window"): ([], LONGEST, TOO_LONG),
-    (("verify-appendix",), "--json"): ([], "report.json", MISSING_DIR_JSON),
     (HILBERT, "--a"): (["--b", "3", "--place", "5"], "-%s/%s7" % (LONGEST, LONGEST[1:]), TOO_LONG),
     (HILBERT, "--b"): (["--a", "3", "--place", "5"], LONGEST, "1/" + TOO_LONG),
     (HILBERT, "--place"): (["--a", "2", "--b", "3"], "53", "59"),
@@ -65,6 +58,31 @@ BOUNDS = {
     (ALBERT, "--r"): (["--p", "3", "--q", "5", "--d", "2"], "5/" + SMOOTH, "5/" + SMOOTH_TOO_LONG),
     (ALBERT, "--d"): (["--p", "3", "--q", "5", "--r", "7"], PRIMORIAL_2351, SMOOTH_TOO_LONG),
     (ALBERT, "--json"): (["--p", "3", "--q", "5", "--r", "7", "--d", "2"], "report.json", MISSING_DIR_JSON),
+}
+
+
+#: sha256 of ``items[0]`` of ``run ARGV --json``, dumped with ``indent=2,
+#: sort_keys=True`` and a final newline: the bytes each single-entry command
+#: wrote before ``run --entry`` became the only way to report one entry.
+ITEM_DIGESTS = {
+    ("normal-forms", "--entry", "1"): "f8c5337626ac68be2b84d686eb96cccbc414c44498a69af9b31ac4fd713cd057",
+    ("normal-forms", "--entry", "2"): "5c0484498347df0e7971900d52c7dedab0300e34a4046486acbc7630d43fdd1b",
+    ("normal-forms", "--entry", "3"): "adcef778dd70cbbb8d643ff1751be8aca4eb02d15735574cbdbb7e097aa94594",
+    ("normal-forms", "--entry", "4"): "fc4ea6bc530541138b83ce12947da00a6f43d652eac639f808240b09b8833164",
+    ("normal-forms", "--entry", "5"): "2fdeda59d7d2534a756a9e21f1ebeace43f3fc69f8776546ee2de3c731247b7b",
+    ("normal-forms", "--entry", "6"): "55c67ab1ee98d6a158e611b6fe9b5dc308b28e65cfc876e189595f9d434d918b",
+    ("normal-forms", "--entry", "7"): "de318e3d5ed1d6bbc8dae5f6f9309e75ed918f797c082d1a12a4fc8bdd2a4ca0",
+    ("normal-forms", "--entry", "8"): "91ff919e3b49d45782aa36b01b58b27c9b541fc3f999dc9d395b88eb927039b8",
+    ("normal-forms", "--entry", "8", "--dim", "100"): (
+        "25806cb1a1460735a46ff904debfefc23e8c98561805405fc1f4303db97b4992"
+    ),
+    ("section5", "--entry", "2"): "2e10f17d41bc1a4764fad8b515239b6eadba4bdc8f41217a38427ed3c3c87d8b",
+    ("section5", "--entry", "3"): "cb82c00d96324723c0206542281a2719ad0a1afb7b35ba5291af15da9ce08610",
+    ("section5", "--entry", "4"): "169c7f1a24a6f768673aa3f05d7c42cf9e0800e405e2e7b6daf15ed7d8a329a5",
+    ("section5", "--entry", "5"): "63d4ed449551f7a86398306be779fd722c84e2f467c6709da020b019d462ac66",
+    ("section5", "--entry", "6"): "804b1a732115d21a68120da7e8865263d9c495cc1b0e9cf137414f0066b99080",
+    ("section5", "--entry", "7"): "82b052fb4e8d6e35f2b1faa18360deee9be8896c2c2e1ea55438ce0885a4b344",
+    ("section5", "--entry", "8"): "1adb89b13187b9a2794b135f89a444737e21f600ec757c7442ce73e86d821185",
 }
 
 
@@ -124,6 +142,13 @@ def exit_code(argv):
         return exc.code
 
 
+def run_report(tmp_path, suite, *argv):
+    """The report of ``run SUITE ARGV --json``, which must exit 0."""
+    path = tmp_path / "report.json"
+    assert main(["run", suite, *argv, "--json", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "quadricbundles", *argv],
@@ -148,7 +173,6 @@ class TestExitCodes:
         for argv in (
             ("run", "appendix", "--gamma-exp", "-1"),
             ("run", "all", "--gamma-exp=-2"),
-            ("verify-appendix", "--gamma-exp", "-1"),
         ):
             result = run_cli(*argv)
             assert result.returncode == 2, argv
@@ -168,13 +192,15 @@ class TestExitCodes:
         assert result.returncode == 2
 
     def test_verify_appendix_usage_error_on_small_window(self):
-        result = run_cli("verify-appendix", "--window", "2")
+        # the appendix report is written by `run appendix` alone
+        result = run_cli("run", "appendix", "--window", "2")
         assert result.returncode == 2
         assert "at least 4" in result.stderr
 
     def test_verify_commands_take_entries_from_the_tables(self):
-        assert run_cli("verify-section5", "--entry", "1").returncode == 2
-        assert run_cli("verify-normal-forms", "--entry", "9").returncode == 2
+        # single entries are run by `run <suite> --entry K` alone
+        assert run_cli("run", "section5", "--entry", "1").returncode == 2
+        assert run_cli("run", "normal-forms", "--entry", "9").returncode == 2
 
     def test_dim_only_applies_to_normal_forms(self):
         result = run_cli("run", "section5", "--dim", "5")
@@ -184,18 +210,19 @@ class TestExitCodes:
     def test_dim_above_the_bound_fails_fast(self):
         too_big = str(bundles.MAX_DIMENSION + 1)
         started = time.perf_counter()
-        result = run_cli("verify-normal-forms", "--entry", "8", "--dim", too_big)
+        result = run_cli("run", "normal-forms", "--entry", "8", "--dim", too_big)
         assert time.perf_counter() - started < 1.0
         assert result.returncode == 2
         assert run_cli("run", "normal-forms", "--dim", too_big).returncode == 2
 
-    def test_dim_at_the_bound_is_linear(self):
+    def test_dim_at_the_bound_is_linear(self, tmp_path):
         dim = str(bundles.MAX_DIMENSION)
+        path = tmp_path / "entry.json"
         started = time.perf_counter()
-        result = run_cli("verify-normal-forms", "--entry", "8", "--dim", dim)
+        result = run_cli("run", "normal-forms", "--entry", "8", "--dim", dim, "--json", str(path))
         assert time.perf_counter() - started < 1.0
         assert result.returncode == 0
-        assert json.loads(result.stdout)["dim"] == bundles.MAX_DIMENSION
+        assert json.loads(path.read_text())["items"][0]["dim"] == bundles.MAX_DIMENSION
         started = time.perf_counter()
         result = run_cli("run", "normal-forms", "--dim", dim)
         assert time.perf_counter() - started < 2.0
@@ -219,18 +246,26 @@ class TestExitCodes:
 
 
 class TestSingleCommands:
-    def test_verify_normal_forms_payload(self, capsys):
-        assert main(["verify-normal-forms", "--entry", "4"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    """One entry's payload is ``items[0]`` of ``run <suite> --entry K``."""
+
+    @pytest.mark.parametrize("argv", sorted(ITEM_DIGESTS), ids=" ".join)
+    def test_single_entry_item_is_pinned(self, argv, tmp_path, capsys):
+        text = json.dumps(run_report(tmp_path, *argv)["items"][0], indent=2, sort_keys=True) + "\n"
+        capsys.readouterr()
+        assert hashlib.sha256(text.encode()).hexdigest() == ITEM_DIGESTS[argv]
+
+    def test_verify_normal_forms_payload(self, tmp_path, capsys):
+        payload = run_report(tmp_path, "normal-forms", "--entry", "4")["items"][0]
+        capsys.readouterr()
         assert payload["entry"] == 4
         assert payload["equation"] == "t1*t2*K^2 - t2*L^2 + M^2 - N^2"
         assert payload["discriminant"] == "t1*t2^2"
         assert payload["certificate"]["index"] == 2
         assert {"zeroset": [2], "rank": 2} in payload["strata"]
 
-    def test_verify_section5_payload(self, capsys):
-        assert main(["verify-section5", "--entry", "8"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_verify_section5_payload(self, tmp_path, capsys):
+        payload = run_report(tmp_path, "section5", "--entry", "8")["items"][0]
+        capsys.readouterr()
         assert payload["monomial"] == "s1^2*s2^2*s3^2"
         assert payload["map"]["projective"] == [
             "s3*A",
@@ -239,9 +274,9 @@ class TestSingleCommands:
             "s1*s2*s3*D",
         ]
 
-    def test_verify_appendix_payload(self, capsys):
-        assert main(["verify-appendix"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_verify_appendix_payload(self, tmp_path, capsys):
+        payload = run_report(tmp_path, "appendix")
+        capsys.readouterr()
         checks = {item["check"]: item for item in payload["items"]}
         assert len(checks["containment"]["certificates"]) == 27
         assert checks["freeness"]["determinant"] == "64*r^13*s^12*t^12"
@@ -250,7 +285,7 @@ class TestSingleCommands:
 
     def test_verify_appendix_window_6_report_is_pinned(self, tmp_path, capsys):
         path = tmp_path / "appendix.json"
-        assert main(["verify-appendix", "--window", "6", "--json", str(path)]) == 0
+        assert main(["run", "appendix", "--window", "6", "--json", str(path)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "3cc6ec7b365580543c09e3a98d0914b5cea38931f0a06915c7710c12cf2ff40f"
@@ -416,8 +451,10 @@ class TestDeclaredInputs:
         subparsers = next(
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
-        subparsers.choices["verify-section5"].add_argument("--dummy")
-        assert untabled(parser) == {(("verify-section5",), "--dummy")}
+        brauer = subparsers.choices["brauer"]
+        commands = next(a for a in brauer._actions if isinstance(a, argparse._SubParsersAction))
+        commands.choices["hilbert"].add_argument("--dummy")
+        assert untabled(parser) == {(HILBERT, "--dummy")}
 
     def test_readme_names_exactly_the_parser_flags(self):
         synopsis, table = readme_flags(README.read_text(encoding="utf-8"))
@@ -427,11 +464,11 @@ class TestDeclaredInputs:
 
     def test_a_stale_readme_flag_is_found(self):
         text = README.read_text(encoding="utf-8")
-        text = text.replace("verify-section5 --entry K", "verify-section5 --entry K [--dummy D]")
+        text = text.replace("brauer hilbert --a A", "brauer hilbert [--dummy D] --a A")
         text = text.replace("| `--seed` |", "| `--seed`, `--dummy` |")
         synopsis, table = readme_flags(text)
         flags = parser_flags(cli._build_parser())
-        assert synopsis - flags == {(("verify-section5",), "--dummy")}
+        assert synopsis - flags == {(HILBERT, "--dummy")}
         assert table - {name for _, name in flags} == {"--dummy"}
 
     def test_every_argument_has_a_shared_reader_or_choices(self):
@@ -466,10 +503,13 @@ class TestDeclaredInputs:
                 assert exit_code(argv) == 2, argv
                 assert "argument %s" % name in capsys.readouterr().err
 
-    def test_verify_normal_forms_passes_library_errors_through(self, monkeypatch):
+    def test_verify_normal_forms_passes_library_errors_through(self, monkeypatch, tmp_path, capsys):
+        # a library error is no usage error: the run fails and reports it
         def broken(entry, dim):
             raise ValueError("not a usage error")
 
         monkeypatch.setattr(reports, "normal_form_item", broken)
-        with pytest.raises(ValueError, match="not a usage error"):
-            main(["verify-normal-forms", "--entry", "4"])
+        path = tmp_path / "report.json"
+        assert main(["run", "normal-forms", "--entry", "4", "--json", str(path)]) == 1
+        assert "item error: not a usage error" in capsys.readouterr().out
+        assert json.loads(path.read_text())["items"] == [{"entry": 4, "error": "not a usage error"}]

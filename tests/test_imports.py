@@ -90,14 +90,14 @@ def test_detects_a_third_party_import():
 
 
 def test_brauer_import_builds_no_cache():
-    # the prime sieve and the factorizations are built on first use, so
-    # importing the module costs no arithmetic
+    # the prime sieve, the factorizations and the primality verdicts are
+    # built on first use, so importing the module costs no arithmetic
     code = (
         "import quadricbundles.brauer as b; "
-        "print(b._small_primes.cache_info().currsize, b._factor.cache_info().currsize)"
+        "print(*(f.cache_info().currsize for f in (b._small_primes, b._factor, b._is_prime)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == ["0", "0"]
+    assert result.stdout.split() == ["0", "0", "0"]
