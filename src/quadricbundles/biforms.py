@@ -84,15 +84,31 @@ def _exponents(monomial):
     return exps
 
 
+@dataclass(frozen=True)
+class BiformVector:
+    """A biform with coefficients in the Laurent ring k[r^+-, s^+-, t^+-]."""
+
+    coords: tuple
+
+    def __post_init__(self):
+        if len(self.coords) != 9:
+            raise ValueError("a biform vector has nine coordinates")
+        for c in self.coords:
+            if c.table != RST:
+                raise ValueError("coordinates must live over the r, s, t ring")
+
+    def __add__(self, other):
+        return BiformVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+
 @dataclass(frozen=True, eq=False)
 class MonomialScaledModule:
     """Module generated by Laurent monomials times constant biforms.
 
     ``ring`` declares which of r, s, t the coefficient ring inverts; the nine
     constant forms are a basis of the biform space, so membership reduces to
-    one rational change of basis plus the graded rule of
-    :func:`_allowed_generators`.  The change of basis is inverted on
-    construction, which is also the basis check.
+    one change of basis plus a Laurent support check.  The change of basis
+    is inverted on construction, which is also the basis check.
     """
 
     name: str
@@ -112,6 +128,10 @@ class MonomialScaledModule:
         """Inverse of the column matrix of the constant forms, computed once."""
         columns = [[self.gens[j][1][i] for j in range(9)] for i in range(9)]
         return invert_matrix(columns)
+
+    def generator_vector(self, j):
+        monomial, form = self.gens[j]
+        return BiformVector(tuple(monomial * c for c in form))
 
 
 def _module(name, inverted, gens):
@@ -199,39 +219,30 @@ class MembershipCertificate:
     offending: tuple     # generator indices whose coefficient leaves the ring
 
 
-def _allowed_generators(module, exponents):
-    """Indices j of the generators ``mono_j * form_j`` for which ``m /
-    mono_j`` lies in the coefficient ring, ``m = r^a s^b t^c``."""
-    allowed = []
-    for j, (monomial, _) in enumerate(module.gens):
-        quotient = tuple(e - me for e, me in zip(exponents, _exponents(monomial)))
-        if module.ring.allows(quotient):
-            allowed.append(j)
-    return tuple(allowed)
+def membership(vector, module):
+    """Solve for the unique fraction-field coordinates and check supports.
 
-
-def membership(generator, module):
-    """Certificate for ``mono_g * form_g`` in ``module``, for a generator
-    ``(mono_g, form_g)``.
-
-    The constant forms are a basis, so ``c = basis_inverse * form_g`` is the
-    one rational vector with ``form_g = sum_j c_j * form_j``, and ``mono_g *
-    form_g = sum_j (c_j * mono_g / mono_j) * mono_j * form_j`` is the only
-    solution over the fraction field.  Coefficient j leaves the ring exactly
-    when ``c_j != 0`` and ``mono_g / mono_j`` does, which is the rule of
-    :func:`_allowed_generators` at the exponents of ``mono_g``.
+    The constant forms are a basis, so ``x = sum_j c_j * mono_j * form_j`` has
+    exactly one solution with ``c_j`` Laurent polynomials; membership holds
+    iff every ``c_j`` lies in the module's coefficient ring.
     """
-    monomial, form = generator
-    exponents = _exponents(monomial)
-    allowed = _allowed_generators(module, exponents)
-    support = [i for i, x in enumerate(form) if x]
+    inverse = module.basis_inverse
+    # coordinates of x in the module's constant-form basis, still scaled by
+    # the generator monomials
+    scaled = [
+        sum(
+            (inverse[j][i] * vector.coords[i] for i in range(9)),
+            LaurentPolynomial.zero(RST),
+        )
+        for j in range(9)
+    ]
     coefficients = []
     offending = []
-    for j, (row, (mono_j, _)) in enumerate(zip(module.basis_inverse, module.gens)):
-        c = sum(row[i] * form[i] for i in support if row[i])
-        quotient = tuple(e - ej for e, ej in zip(exponents, _exponents(mono_j)))
-        coefficients.append(LaurentPolynomial(RST, {quotient: c}))
-        if c and j not in allowed:
+    for j, value in enumerate(scaled):
+        monomial, _ = module.gens[j]
+        coefficient = value * monomial.inverse()
+        coefficients.append(coefficient)
+        if not all(module.ring.allows(exps) for exps in coefficient.terms):
             offending.append(j)
     return MembershipCertificate(
         member=not offending,
@@ -240,21 +251,13 @@ def membership(generator, module):
     )
 
 
-def _reassembles(certificate, module, generator):
-    """Whether ``sum_j coeff_j * mono_j * form_j == mono_g * form_g``, read
-    from the forms and not from the inverse change of basis: every term of
-    every coefficient times ``mono_j`` must be ``mono_g``, and the rational
-    parts must combine the forms into ``form_g``."""
-    monomial, form = generator
-    total = [0] * 9
-    for coefficient, (mono_j, form_j) in zip(certificate.coefficients, module.gens):
-        for exps, c in coefficient.terms.items():
-            if LaurentPolynomial(RST, {exps: 1}) * mono_j != monomial:
-                return False
-            for i, x in enumerate(form_j):
-                if x:
-                    total[i] += c * x
-    return tuple(total) == form
+def back_substitute(certificate, module):
+    """Reassemble ``sum_j c_j * gen_j`` from a membership certificate."""
+    total = BiformVector(tuple(LaurentPolynomial.zero(RST) for _ in range(9)))
+    for coefficient, (monomial, form) in zip(certificate.coefficients, module.gens):
+        scale = coefficient * monomial
+        total = total + BiformVector(tuple(scale * c for c in form))
+    return total
 
 
 @dataclass(frozen=True)
@@ -265,18 +268,18 @@ class ContainmentReport:
 
 def verify_containment():
     """Every generator of the intersection module lies in all three local
-    modules, with every certificate re-checked as one rational identity of
-    the forms."""
+    modules, with every certificate re-checked by exact back-substitution."""
     target = intersection_module()
     modules = [local_module(i) for i in (1, 2, 3)]
     certificates = []
     passed = True
-    for g, generator in enumerate(target.gens):
+    for g in range(9):
+        vector = target.generator_vector(g)
         for module in modules:
-            certificate = membership(generator, module)
+            certificate = membership(vector, module)
             if not certificate.member:
                 passed = False
-            elif not _reassembles(certificate, module, generator):
+            elif back_substitute(certificate, module) != vector:
                 raise AssertionError(
                     "certificate for generator %d in %s fails back-substitution"
                     % (g, module.name)
@@ -304,6 +307,17 @@ def freeness_certificate():
     forms = determinant([form for _, form in gens])
     det = math.prod((monomial for monomial, _ in gens), start=forms)
     return FreenessReport(passed=not det.is_zero(), det=det)
+
+
+def _allowed_generators(module, exponents):
+    """Indices j of the generators ``mono_j * form_j`` for which ``m /
+    mono_j`` lies in the coefficient ring, ``m = r^a s^b t^c``."""
+    allowed = []
+    for j, (monomial, _) in enumerate(module.gens):
+        quotient = tuple(e - me for e, me in zip(exponents, _exponents(monomial)))
+        if module.ring.allows(quotient):
+            allowed.append(j)
+    return tuple(allowed)
 
 
 @cache
@@ -466,15 +480,8 @@ def witness_curve(gamma_exponent):
     )
 
 
-#: Generators whose images the witness compares: ``(x0, x3, x4, x5)`` in
-#: printed generator order.  Any other assignment would be an identity the
-#: paper does not state.
-WITNESS_ORDER = (0, 3, 4, 5)
-
-
 def curve_coordinates(spec):
-    """Images of the generators in :data:`WITNESS_ORDER` along the curve,
-    reduced mod t^2 - f, in that order.
+    """Images of the nine generators along the curve, reduced mod t^2 - f.
 
     Generator ``mono(r, s, t) * form(u, v, u', v')`` is evaluated with
     ``r = spec.r`` and the biform letters replaced by the curve data, then
@@ -485,10 +492,8 @@ def curve_coordinates(spec):
         CURVE_TABLE,
         {"u": spec.u, "v": spec.v, "u'": spec.u_prime, "v'": spec.v_prime},
     )
-    gens = intersection_module().gens
     images = []
-    for index in WITNESS_ORDER:
-        monomial, form = gens[index]
+    for monomial, form in intersection_module().gens:
         r_power, s_power, t_power = _exponents(monomial)
         scalar = spec.r ** r_power * LaurentPolynomial.monomial(
             CURVE_TABLE, {"s": s_power, "t": t_power}
@@ -514,18 +519,23 @@ def nonflatness_witness(spec):
 
     In printed generator order the coordinates must satisfy
     ``x3 = alpha*x0``, ``x4 = beta*x0``, ``x5 = gamma*x0`` identically with
-    ``x0`` nonzero; only the order :data:`WITNESS_ORDER` is tested.
+    ``x0`` nonzero.  Only this printed order ``(x0, x3, x4, x5) = (0, 3, 4, 5)``
+    is tested: any other assignment would be an identity the paper does not
+    state.
     """
-    (base_even, base_odd), *others = curve_coordinates(spec)
+    images = curve_coordinates(spec)
+    order = (0, 3, 4, 5)
+    base_even, base_odd = images[order[0]]
     residuals = []
-    for (even, odd), name in zip(others, ("alpha", "beta", "gamma")):
+    for index, name in zip(order[1:], ("alpha", "beta", "gamma")):
+        even, odd = images[index]
         multiplier = parse(name, CURVE_TABLE)
         residuals.append((even - multiplier * base_even, odd - multiplier * base_odd))
     holds = all(part.is_zero() for residual in residuals for part in residual)
     x0_nonzero = not (base_even.is_zero() and base_odd.is_zero())
     return WitnessReport(
         gamma_exponent=spec.gamma_exponent,
-        coordinate_order=WITNESS_ORDER,
+        coordinate_order=order,
         identities_hold=holds,
         x0_nonzero=x0_nonzero,
         residuals=tuple((str(even), str(odd)) for even, odd in residuals),
