@@ -20,9 +20,11 @@ oracle refuses primes above ``SEARCH_PRIME_LIMIT``.
 
 *Global paths.*  The prime support of a value (relevant places,
 square-class representatives, the check on ``d``, primality of a ``Place``)
-comes from trial division by the primes below ``TRIAL_DIVISION_LIMIT`` and a
-deterministic Miller-Rabin test, exact below ``MILLER_RABIN_LIMIT``.  An
-integer these cannot factor raises ``FactorizationBoundError``.
+comes from trial division by 2, 3 and each ``6k +- 1`` below
+``TRIAL_DIVISION_LIMIT``, a wheel with no table (Crandall and Pomerance,
+*Prime Numbers*, 3.1), and a deterministic Miller-Rabin test, exact below
+``MILLER_RABIN_LIMIT``.  An integer these cannot factor raises
+``FactorizationBoundError``.
 
 *Forms.*  On top of the symbols: quaternion splitting and ramification,
 restriction to a quadratic extension, corestriction via the projection
@@ -44,10 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
-from math import isqrt, prod
+from math import prod
 
-#: Trial division uses every prime below this bound.
+#: Trial division uses 2, 3 and each 6k +- 1, so every prime, below this bound.
 TRIAL_DIVISION_LIMIT = 10**5
 #: Miller-Rabin with the first 13 prime bases is exact below this integer.
 MILLER_RABIN_LIMIT = 3317044064679887385961981
@@ -67,14 +68,13 @@ class FactorizationBoundError(ValueError):
         )
 
 
-@lru_cache(maxsize=None)
-def _small_primes():
-    sieve = bytearray([1]) * TRIAL_DIVISION_LIMIT
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(TRIAL_DIVISION_LIMIT - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, TRIAL_DIVISION_LIMIT, p)))
-    return tuple(compress(range(TRIAL_DIVISION_LIMIT), sieve))
+def _trial_divisors():
+    """2, 3 and every ``6k +- 1`` below ``TRIAL_DIVISION_LIMIT``, ascending."""
+    yield from (2, 3)
+    for k in range(5, TRIAL_DIVISION_LIMIT, 6):
+        yield k
+        if k + 2 < TRIAL_DIVISION_LIMIT:
+            yield k + 2
 
 
 def _miller_rabin(n):
@@ -101,7 +101,7 @@ def _is_prime(n):
     """Exact primality of an integer; raises past ``MILLER_RABIN_LIMIT``."""
     if n < 2:
         return False
-    for p in _small_primes():
+    for p in _trial_divisors():
         if p * p > n:
             return True
         if n % p == 0:
@@ -116,7 +116,7 @@ def _factor(n):
     """Prime factorization ``((p, e), ...)`` of an integer ``n >= 1``, ascending."""
     factors = []
     m = n
-    for p in _small_primes():
+    for p in _trial_divisors():
         if p * p > m:
             break
         if m % p == 0:
@@ -136,6 +136,12 @@ def _factor(n):
     return tuple(factors)
 
 
+@lru_cache(maxsize=None)
+def _prime_place(p):
+    # a ValueError is not cached, so a p that is not prime raises on every call
+    return Place(p)
+
+
 @dataclass(frozen=True)
 class Place:
     """A place of Q: the real place (``p is None``) or a finite prime."""
@@ -149,9 +155,8 @@ class Place:
                 raise ValueError("%r is not prime" % (self.p,))
             object.__setattr__(self, "p", p)
 
-    @classmethod
-    def prime(cls, p):
-        return cls(p)
+    #: ``Place.prime(p)``: the one shared place of the prime ``p``.
+    prime = staticmethod(_prime_place)
 
     @property
     def is_real(self):
@@ -424,10 +429,7 @@ class RationalQuadraticForm:
     @cached_property
     def disc(self):
         """Signed squarefree integer of the discriminant's square class."""
-        product = Fraction(1)
-        for x in self.diag:
-            product *= x
-        return squarefree_part(product)
+        return _squarefree_int(prod(x.numerator * x.denominator for x in self.diag))
 
     def __str__(self):
         return "<%s>" % ", ".join(str(x) for x in self.diag)
@@ -550,37 +552,35 @@ def forms_similar(f, g):
         primes.update(prime_support(x))
     primes = sorted(primes)
     sign_bit = 1 << len(primes)
-    inv_f, inv_g = form_invariants(f), form_invariants(g)
-    hasse_f = {v.p: h for v, h in inv_f.hasse}
-    hasse_g = {v.p: h for v, h in inv_g.hasse}
 
-    flipped = inv_f.signature[::-1]
-    if inv_g.signature not in (inv_f.signature, flipped):
+    flipped = f.signature[::-1]
+    if g.signature not in (f.signature, flipped):
         return False, None
     rows = []
-    if flipped != inv_f.signature:
-        rows.append((sign_bit, int(inv_g.signature == flipped)))
+    if flipped != f.signature:
+        rows.append((sign_bit, int(g.signature == flipped)))
     if n % 2:
-        df, dg = inv_f.disc, inv_g.disc
-        rows.append((sign_bit, int((df < 0) != (dg < 0))))
+        rows.append((sign_bit, int((f.disc < 0) != (g.disc < 0))))
         rows.extend(
-            (1 << i, int((df % p == 0) != (dg % p == 0))) for i, p in enumerate(primes)
+            (1 << i, int((f.disc % p == 0) != (g.disc % p == 0))) for i, p in enumerate(primes)
         )
-    elif inv_f.disc != inv_g.disc:
+    elif f.disc != g.disc:
         return False, None
 
     # (c, e)_v for c = -1 and each p: only signs matter at the real place; at
     # a prime l, -1 has class (0, m - 1) and p has (1, 1) if p = l, else (0, p).
-    e = (-1) ** (n * (n - 1) // 2) * (inv_f.disc if n % 2 == 0 else 1)
-    rows.append((sign_bit if e < 0 else 0, int(hasse_f.get(None, 1) != hasse_g.get(None, 1))))
-    for ell in primes:
+    e = (-1) ** (n * (n - 1) // 2) * (f.disc if n % 2 == 0 else 1)
+    places = [REAL] + [Place.prime(p) for p in primes]
+    flips = [int(hasse_invariant(f, v) != hasse_invariant(g, v)) for v in places]
+    rows.append((sign_bit if e < 0 else 0, flips[0]))
+    for ell, flip in zip(primes, flips[1:]):
         m = 8 if ell == 2 else ell
         beta, w = _local_class(e, ell, m)
         mask = sign_bit if _hilbert_formula(0, m - 1, beta, w, ell) == -1 else 0
         for i, p in enumerate(primes):
             if _hilbert_formula(*((1, 1) if p == ell else (0, p % m)), beta, w, ell) == -1:
                 mask |= 1 << i
-        rows.append((mask, int(hasse_f.get(ell, 1) != hasse_g.get(ell, 1))))
+        rows.append((mask, flip))
 
     x = _least_solution(rows)
     if x is None:

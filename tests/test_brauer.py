@@ -1,6 +1,9 @@
 import json
+import math
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,13 +14,16 @@ from quadricbundles.brauer import (
     MILLER_RABIN_LIMIT,
     REAL,
     SEARCH_PRIME_LIMIT,
+    TRIAL_DIVISION_LIMIT,
     DescentReport,
     FactorizationBoundError,
     Place,
     QuaternionClass,
     RationalQuadraticForm,
     _factor,
+    _is_prime,
     _solubility_search,
+    _trial_divisors,
     albert_form,
     corestriction_projection,
     form_invariants,
@@ -295,6 +301,12 @@ class TestForms:
         assert inv.signature == (2, 0)
         assert all(h == 1 for _, h in inv.hasse)
 
+    def test_disc_is_the_square_class_of_the_entry_product(self):
+        rng = random.Random(65)
+        for _ in range(300):
+            diag = tuple(random_rational(rng) for _ in range(rng.randint(1, 6)))
+            assert RationalQuadraticForm(diag).disc == squarefree_part(math.prod(diag))
+
     def test_hyperbolic_plane(self):
         form = RationalQuadraticForm((1, -1))
         assert form_invariants(form).disc == -1
@@ -525,14 +537,20 @@ class TestDescentInstances:
     @pytest.mark.parametrize("d", [2, -1])
     def test_invariants_only_for_similarity(self, d, monkeypatch):
         # isotropy of the six-dimensional Albert form reads its signature, so
-        # only the two forms compared by forms_similar get their invariants
+        # only the two forms compared by forms_similar get Hasse invariants:
+        # one per form and per place, the real place, 2 and the entries' primes
         calls = []
-        invariants = brauer.form_invariants
+        hasse = brauer.hasse_invariant
         monkeypatch.setattr(
-            brauer, "form_invariants", lambda form: calls.append(form) or invariants(form)
+            brauer,
+            "hasse_invariant",
+            lambda form, place: calls.append((form, place)) or hasse(form, place),
         )
         report = verify_quaternion_descent_instance(3, 5, 7, d)
-        assert calls == [report.isotropy_form, report.albert_pair_form]
+        forms = (report.isotropy_form, report.albert_pair_form)
+        primes = {2}.union(*(prime_support(x) for form in forms for x in form.diag))
+        places = [REAL] + [Place.prime(p) for p in sorted(primes)]
+        assert Counter(calls) == Counter((form, v) for form in forms for v in places)
 
     def test_random_instances_consistent(self):
         rng = random.Random(53)
@@ -630,6 +648,35 @@ class TestSearchOracle:
                 place = Place.prime(p)
                 assert hilbert_symbol(a, b, place) == hilbert_symbol_search(a, b, place)
 
+    def test_search_enters_no_formula_code(self):
+        # the oracle shares the local-class reader with the formula, and
+        # nothing else: no new helper may make the two agree by construction
+        allowed = {
+            "hilbert_symbol_search", "Place.is_real", "_as_nonzero_fraction", "_local_class",
+            "_split_valuation", "_search_modulus", "_squares_mod", "_squares_mod.<locals>.<genexpr>",
+            "_solubility_search",
+        }
+        places = [REAL] + [Place.prime(p) for p in ORACLE_PRIMES]
+        rng = random.Random(66)
+        pairs = [
+            (random_rational(rng, 10**4, 30), random_rational(rng, 10**4, 30)) for _ in range(50)
+        ]
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == brauer.__file__:
+                entered.add(frame.f_code.co_qualname)
+
+        sys.setprofile(profile)
+        try:
+            for place in places:
+                for a, b in pairs:
+                    hilbert_symbol_search(a, b, place)
+        finally:
+            sys.setprofile(None)
+        assert "hilbert_symbol_search" in entered
+        assert entered <= allowed, entered - allowed
+
     def test_oracle_refuses_primes_past_the_limit(self):
         with pytest.raises(ValueError, match="up to %d" % SEARCH_PRIME_LIMIT):
             hilbert_symbol_search(2, 3, Place.prime(59))
@@ -645,7 +692,40 @@ PRIME_25 = (10**24 + 7, 3 * 10**24 + 7)
 SEMIPRIME = PRIME_25[0] * PRIME_25[1]
 
 
+def eratosthenes(limit):
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return [n for n in range(limit) if sieve[n]]
+
+
 class TestFactorizer:
+    def test_is_prime_matches_the_sieve(self):
+        assert [n for n in range(10**4) if _is_prime(n)] == eratosthenes(10**4)
+
+    def test_wheel_holds_every_prime_below_the_limit(self):
+        wheel = list(_trial_divisors())
+        assert wheel == sorted(set(wheel))
+        assert wheel[-1] < TRIAL_DIVISION_LIMIT
+        assert set(eratosthenes(TRIAL_DIVISION_LIMIT)) <= set(wheel)
+
+    def test_exact_at_the_top_of_the_wheel(self):
+        # the two largest primes below the trial division bound and the next
+        # prime past it; a wheel that stops before the top prime gets each wrong
+        below, top, above = 99989, 99991, 100003
+        assert eratosthenes(TRIAL_DIVISION_LIMIT)[-2:] == [below, top]
+        assert eratosthenes(above + 1)[-1] == above
+        assert _factor(top**2) == ((top, 2),)
+        assert _factor(top * below) == ((below, 1), (top, 1))
+        assert _factor(top * above) == ((top, 1), (above, 1))
+        # smallest prime factor the top prime, then a cofactor past the bound
+        assert _factor(top**3) == ((top, 3),)
+        assert _factor(top * PRIME_20) == ((top, 1), (PRIME_20, 1))
+        assert not _is_prime(top**2) and not _is_prime(top * above)
+
     def test_round_trip(self):
         rng = random.Random(62)
         values = [1, 2, 97, 2**40, 99991 * 99989, PRIME_20, 12 * PRIME_25[1]]
@@ -703,6 +783,21 @@ class TestFactorizer:
         # below the range the same semiprime's factors are exact
         assert _factor(SEMIPRIME // PRIME_25[0]) == ((PRIME_25[1], 1),)
         assert issubclass(FactorizationBoundError, ValueError)
+
+    def test_prime_places_are_interned(self):
+        for p in (2, 3, 53, 99991, PRIME_20):
+            assert Place.prime(p) is Place.prime(p)
+            assert Place.prime(p) == Place(p)
+            assert hash(Place.prime(p)) == hash(Place(p))
+
+    def test_a_failed_prime_place_is_not_cached(self):
+        cached = brauer._prime_place.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not prime"):
+                Place.prime(6)
+            with pytest.raises(FactorizationBoundError):
+                Place.prime(SEMIPRIME)
+        assert brauer._prime_place.cache_info().currsize == cached
 
     def test_local_paths_never_factor(self):
         place = Place.prime(5)

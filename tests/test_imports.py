@@ -90,11 +90,11 @@ def test_detects_a_third_party_import():
 
 
 def test_brauer_import_builds_no_cache():
-    # the prime sieve, the factorizations and the primality verdicts are
+    # the factorizations, the primality verdicts and the prime places are
     # built on first use, so importing the module costs no arithmetic
     code = (
         "import quadricbundles.brauer as b; "
-        "print(*(f.cache_info().currsize for f in (b._small_primes, b._factor, b._is_prime)))"
+        "print(*(f.cache_info().currsize for f in (b._factor, b._is_prime, b._prime_place)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     result = subprocess.run(
