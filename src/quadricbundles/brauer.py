@@ -31,18 +31,13 @@ root.  An integer these cannot factor raises ``FactorizationBoundError``.
 restriction to a quadratic extension, corestriction via the projection
 formula, the classification invariants of rational quadratic forms, isotropy
 in dimension >= 5 by the local-global principle, and Albert forms of
-quaternion pairs.  Each form computes its invariants once and keeps them:
-the discriminant from its entries' square classes, never from their
-product, and the Hasse invariants as a map over the relevant places.
-By bilinearity, the Hasse invariant
-``prod_(i<j) (d_i, d_j)_v`` reads each entry ``p^(a_i) u_i`` once: with
-``A = sum a_i`` it is ``(-1)^(eps(p) C(A,2)) prod (u_i/p)^(A - a_i)`` at odd
-p, ``(-1)^(C(E,2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)``
-at 2, and ``(-1)^C(neg,2)`` at the real place.
-Similarity is one linear system over F2 in the exponents of the scaling
-square class, built from ``s_v(c*f) = s_v(f) * (c, (-1)^(n(n-1)/2) d(f)^(n-1))_v``
-from one local class of the second slot per place (Lam, *Introduction to
-Quadratic Forms over Fields*, Ch. V).
+quaternion pairs.  Quaternion classes and forms reduce each entry once to its
+square class, a signed squarefree integer, and read every invariant off those:
+classes ``s`` and ``t`` multiply to ``s*t / gcd(s, t)^2``, and the places of
+the Hasse map are the primes of the classes.  Similarity is one linear system
+over F2 in the exponents of the scaling square class, built from
+``s_v(c*f) = s_v(f) * (c, (-1)^(n(n-1)/2) d(f)^(n-1))_v`` (Lam,
+*Introduction to Quadratic Forms over Fields*, Ch. V).
 """
 
 from __future__ import annotations
@@ -102,7 +97,8 @@ def _miller_rabin(n):
 
 @lru_cache(maxsize=None)
 def _is_prime(n):
-    """Exact primality of an integer; raises past ``MILLER_RABIN_LIMIT``."""
+    """Exact primality of ``n``; past ``MILLER_RABIN_LIMIT`` a certified prime
+    power is not prime, and any other ``n`` raises."""
     if n < 2:
         return False
     for p in _trial_divisors():
@@ -112,6 +108,8 @@ def _is_prime(n):
             return False
     if n < MILLER_RABIN_LIMIT:
         return _miller_rabin(n)
+    if _prime_power(n) is not None:
+        return False
     raise FactorizationBoundError(n)
 
 
@@ -210,8 +208,8 @@ class Place:
 REAL = Place()
 
 
-def _as_nonzero_fraction(x, label="value"):
-    if type(x) is not Fraction:
+def _as_nonzero_rational(x, label="value"):
+    if type(x) is not Fraction and type(x) is not int:
         x = Fraction(x)
     if not x:
         raise ValueError("%s must be nonzero" % label)
@@ -226,15 +224,20 @@ def _squarefree_int(n):
     return result
 
 
+def _class_product(s, t):
+    """Square class of ``s*t`` for signed squarefree integers ``s`` and ``t``."""
+    return s * t // gcd(s, t) ** 2
+
+
 def squarefree_part(x):
     """Signed squarefree integer representing the square class of ``x``."""
-    x = _as_nonzero_fraction(x)
+    x = _as_nonzero_rational(x)
     return _squarefree_int(x.numerator * x.denominator)
 
 
 def prime_support(x):
     """Odd primes in the squarefree part of ``x``."""
-    x = _as_nonzero_fraction(x)
+    x = _as_nonzero_rational(x)
     return tuple(
         p for p, e in _factor(abs(x.numerator * x.denominator)) if e % 2 and p != 2
     )
@@ -273,7 +276,7 @@ def _split_valuation(n, p):
 
 
 def _local_class(x, p, modulus):
-    """``(v mod 2, u mod modulus)`` for a nonzero Fraction ``x = p^v * u`` up
+    """``(v mod 2, u mod modulus)`` for a nonzero rational ``x = p^v * u`` up
     to unit squares.
 
     Read off ``numerator * denominator``, which is ``x`` times a square.
@@ -300,8 +303,8 @@ def _hilbert_formula(alpha, u, beta, w, p):
 
 def hilbert_symbol(a, b, place):
     """Local Hilbert symbol ``(a, b)`` at a place of Q, by formula."""
-    a = _as_nonzero_fraction(a, "a")
-    b = _as_nonzero_fraction(b, "b")
+    a = _as_nonzero_rational(a, "a")
+    b = _as_nonzero_rational(b, "b")
     if place.is_real:
         return -1 if a < 0 and b < 0 else 1
     p = place.p
@@ -345,8 +348,8 @@ def hilbert_symbol_search(a, b, place):
     Primes above ``SEARCH_PRIME_LIMIT`` are refused.  The real place is
     settled by signs alone.
     """
-    a = _as_nonzero_fraction(a, "a")
-    b = _as_nonzero_fraction(b, "b")
+    a = _as_nonzero_rational(a, "a")
+    b = _as_nonzero_rational(b, "b")
     if place.is_real:
         return 1 if a > 0 or b > 0 else -1
     p = place.p
@@ -362,7 +365,7 @@ def hilbert_symbol_search(a, b, place):
 
 def is_local_square(x, place):
     """Is ``x`` a square in the completion of Q at ``place``?"""
-    x = _as_nonzero_fraction(x)
+    x = _as_nonzero_rational(x)
     if place.is_real:
         return x > 0
     p = place.p
@@ -388,19 +391,22 @@ def _validate_quadratic_d(d):
 class QuaternionClass:
     """Brauer class over Q of the quaternion algebra ``(a, b)``."""
 
-    a: Fraction
-    b: Fraction
+    a: int | Fraction
+    b: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_nonzero_fraction(self.a, "a"))
-        object.__setattr__(self, "b", _as_nonzero_fraction(self.b, "b"))
+        object.__setattr__(self, "a", _as_nonzero_rational(self.a, "a"))
+        object.__setattr__(self, "b", _as_nonzero_rational(self.b, "b"))
+
+    @cached_property
+    def classes(self):
+        """Signed squarefree integers of the square classes of ``a`` and ``b``."""
+        return squarefree_part(self.a), squarefree_part(self.b)
 
 
 def quaternion_is_split(q):
     """Splitting over Q, with the (even-sized) list of ramified places."""
-    ramified = [
-        v for v in relevant_places([q.a, q.b]) if hilbert_symbol(q.a, q.b, v) == -1
-    ]
+    ramified = [v for v in relevant_places(q.classes) if hilbert_symbol(*q.classes, v) == -1]
     return (not ramified, ramified)
 
 
@@ -411,10 +417,7 @@ def splits_over_quadratic(q, d):
     place of ``q`` the completion does not contain sqrt(d).
     """
     d = _validate_quadratic_d(d)
-    split, ramified = quaternion_is_split(q)
-    if split:
-        return True
-    return all(not is_local_square(d, v) for v in ramified)
+    return all(not is_local_square(d, v) for v in quaternion_is_split(q)[1])
 
 
 def corestriction_projection(a, b_pair, d):
@@ -423,7 +426,7 @@ def corestriction_projection(a, b_pair, d):
     Projection formula for a in Q: the result is ``(a, Norm(x + y*sqrt(d)))``
     with ``Norm = x^2 - d*y^2``.
     """
-    a = _as_nonzero_fraction(a, "a")
+    a = _as_nonzero_rational(a, "a")
     d = _validate_quadratic_d(d)
     x, y = (Fraction(component) for component in b_pair)
     norm = x * x - d * y * y
@@ -447,40 +450,38 @@ def res_cor_doubling_check(beta, d):
 
 @dataclass(frozen=True)
 class RationalQuadraticForm:
-    """Nondegenerate diagonal quadratic form over Q."""
+    """Nondegenerate diagonal quadratic form over Q.
+
+    Construction reads each entry once: ``classes`` holds the entries' square
+    classes, signed squarefree integers, ``signature`` the counts of positive
+    and negative entries, and ``disc`` the discriminant's class, the product
+    of the classes.  The Hasse map ``hasse`` is built on first use.
+    """
 
     diag: tuple
 
     def __post_init__(self):
-        entries = tuple(_as_nonzero_fraction(x, "diagonal entry") for x in self.diag)
+        entries = tuple(_as_nonzero_rational(x, "diagonal entry") for x in self.diag)
         if not entries:
             raise ValueError("a form needs at least one diagonal entry")
+        classes = tuple([_squarefree_int(x.numerator * x.denominator) for x in entries])
+        pos = sum(1 for x in entries if x > 0)
         object.__setattr__(self, "diag", entries)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "signature", (pos, len(entries) - pos))
+        object.__setattr__(self, "disc", reduce(_class_product, classes))
 
     @property
     def dim(self):
         return len(self.diag)
 
     @cached_property
-    def signature(self):
-        """Counts ``(positive, negative)`` of the diagonal entries."""
-        pos = sum(1 for x in self.diag if x > 0)
-        return pos, self.dim - pos
-
-    @cached_property
-    def disc(self):
-        """Signed squarefree integer of the discriminant's square class.
-
-        The entries' square classes ``s`` and ``t`` combine to
-        ``s*t / gcd(s, t)^2``, so no product of entries is factored.
-        """
-        return reduce(lambda s, t: s * t // gcd(s, t) ** 2, map(squarefree_part, self.diag))
-
-    @cached_property
     def hasse(self):
-        """Hasse invariant at each place of ``relevant_places(diag)``; it is
-        +1 at every other place, where every entry is a unit times a square."""
-        return {v: hasse_invariant(self, v) for v in relevant_places(self.diag)}
+        """Hasse invariant at ``relevant_places(classes)``, read off the classes'
+        factors; +1 at every other place, where each entry is a unit times a square."""
+        primes = sorted({p for s in self.classes for p, _ in _factor(abs(s)) if p != 2})
+        places = (REAL, Place.prime(2), *map(Place.prime, primes))
+        return {v: hasse_invariant(self, v) for v in places}
 
     def __str__(self):
         return "<%s>" % ", ".join(str(x) for x in self.diag)
@@ -489,25 +490,28 @@ class RationalQuadraticForm:
 def hasse_invariant(form, place):
     """Product of ``(d_i, d_j)`` over ``i < j`` at the given place.
 
-    By bilinearity each entry ``d_i = p^(a_i) u_i`` enters through its local
-    class alone: with ``A = sum a_i``, the pairs give ``sum_(i<j) a_i a_j =
-    C(A, 2)`` and ``u_i`` meets the ``A - a_i`` other entries of odd valuation.
-    So the invariant is ``(-1)^(eps(p) C(A, 2)) prod (u_i/p)^(A - a_i)`` at odd
-    p, ``(-1)^(C(E, 2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)``
-    at 2, and ``(-1)^C(neg, 2)`` at the real place: O(n) work, not C(n, 2).
+    By bilinearity each entry enters through its square class ``p^(a_i) u_i``
+    alone, ``a_i`` 0 or 1: with ``A = sum a_i`` the pairs give ``C(A, 2)`` and
+    ``u_i`` meets ``A - a_i`` other entries of odd valuation, an odd number
+    when ``a_i`` and ``A`` differ mod 2.  So the invariant is
+    ``(-1)^(eps(p) C(A, 2)) prod (u_i/p)^(A - a_i)`` at odd p,
+    ``(-1)^(C(E, 2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)`` at
+    2, and ``(-1)^C(neg, 2)`` at the real place: O(n) work, not C(n, 2).
     """
     if place.is_real:
         neg = form.signature[1]
         return -1 if neg * (neg - 1) // 2 % 2 else 1
     p = place.p
-    classes = [_local_class(x, p, 8 if p == 2 else p) for x in form.diag]
-    total = sum(a for a, _ in classes)
+    divided = [s // p for s in form.classes if s % p == 0]
+    kept = [s for s in form.classes if s % p]
+    total = len(divided)
+    odd = kept if total % 2 else divided
     if p == 2:
-        units = sum(_epsilon(u) for _, u in classes)
-        e = units * (units - 1) // 2 + sum(_omega(u) * (total - a) for a, u in classes)
+        units = sum(map(_epsilon, divided)) + sum(map(_epsilon, kept))
+        e = units * (units - 1) // 2 + sum(map(_omega, odd))
         return -1 if e % 2 else 1
     sign = -1 if total * (total - 1) // 2 * _epsilon(p) % 2 else 1
-    return sign * _legendre(prod(u for a, u in classes if (total - a) % 2), p)
+    return sign * _legendre(prod(odd), p)
 
 
 def forms_equivalent(f, g):
@@ -580,7 +584,8 @@ def forms_similar(f, g):
     flipped = f.signature[::-1]
     if g.signature not in (f.signature, flipped) or (n % 2 == 0 and f.disc != g.disc):
         return False, None
-    primes = sorted(v.p for v in f.hasse.keys() | g.hasse.keys() if not v.is_real)
+    fh, gh = ({v.p: h for v, h in form.hasse.items()} for form in (f, g))
+    primes = sorted((fh.keys() | gh.keys()) - {None})
     sign_bit = 1 << len(primes)
 
     rows = []
@@ -595,12 +600,14 @@ def forms_similar(f, g):
     # (c, e)_v for c = -1 and each p: only signs matter at the real place; at
     # a prime l, -1 has class (0, m - 1) and p has (1, 1) if p = l, else (0, p).
     e = (-1) ** (n * (n - 1) // 2) * (f.disc if n % 2 == 0 else 1)
-    places = [REAL] + [Place.prime(p) for p in primes]
-    flips = [int(f.hasse.get(v, 1) != g.hasse.get(v, 1)) for v in places]
+    flips = [int(fh.get(p, 1) != gh.get(p, 1)) for p in [None] + primes]
     rows.append((sign_bit if e < 0 else 0, flips[0]))
-    for ell, flip in zip(primes, flips[1:]):
+    for j, (ell, flip) in enumerate(zip(primes, flips[1:])):
         m = 8 if ell == 2 else ell
         beta, w = _local_class(e, ell, m)
+        if ell != 2 and not beta:  # then (c, e)_l is 1 for a unit c and (e/l) for c = l
+            rows.append((1 << j if _legendre(w, ell) == -1 else 0, flip))
+            continue
         mask = sign_bit if _hilbert_formula(0, m - 1, beta, w, ell) == -1 else 0
         for i, p in enumerate(primes):
             if _hilbert_formula(*((1, 1) if p == ell else (0, p % m)), beta, w, ell) == -1:
@@ -610,25 +617,15 @@ def forms_similar(f, g):
     x = _least_solution(rows)
     if x is None:
         return False, None
-    c = -1 if x & sign_bit else 1
-    for i, p in enumerate(primes):
-        if x >> i & 1:
-            c *= p
-    return True, c
+    c = prod(p for i, p in enumerate(primes) if x >> i & 1)
+    return True, -c if x & sign_bit else c
 
 
 def albert_form(q1, q2):
     """Six-dimensional form attached to a pair of quaternion classes over Q:
     ``<a1, b1, -a1*b1, -a2, -b2, a2*b2>`` with square-class-reduced entries."""
-    entries = (
-        q1.a,
-        q1.b,
-        -q1.a * q1.b,
-        -q2.a,
-        -q2.b,
-        q2.a * q2.b,
-    )
-    return RationalQuadraticForm(tuple(Fraction(squarefree_part(x)) for x in entries))
+    (s, t), (u, w) = q1.classes, q2.classes
+    return RationalQuadraticForm((s, t, -_class_product(s, t), -u, -w, _class_product(u, w)))
 
 
 @dataclass(frozen=True)
@@ -657,20 +654,21 @@ def verify_quaternion_descent_instance(p, q, r, d):
     division algebra (Albert).  Over Q that never happens: a six-dimensional
     form is isotropic iff indefinite (Hasse-Minkowski).
     """
-    p, q, r = (Fraction(x) for x in (p, q, r))
     d = _validate_quadratic_d(d)
-    for label, x in (("p", p), ("q", q), ("r", r)):
-        _as_nonzero_fraction(x, label)
-    entries = (Fraction(1), Fraction(-d), -p, q, r, -d * p * q * r)
-    isotropy_form = RationalQuadraticForm(tuple(Fraction(squarefree_part(x)) for x in entries))
-    first = QuaternionClass(p, Fraction(d))
-    second = QuaternionClass(d * p * q, d * p * r)
+    p, q, r = (_as_nonzero_rational(x, label) for label, x in zip("pqr", (p, q, r)))
+    # every other class is a product of these, cached ahead in the quaternions
+    sp, sq, sr = map(squarefree_part, (p, q, r))
+    sdp = _class_product(d, sp)
+    isotropy = RationalQuadraticForm((1, -d, -sp, sq, sr, -reduce(_class_product, (sdp, sq, sr))))
+    first, second = QuaternionClass(p, d), QuaternionClass(d * p * q, d * p * r)
+    first.__dict__["classes"] = sp, d
+    second.__dict__["classes"] = _class_product(sdp, sq), _class_product(sdp, sr)
     pair_form = albert_form(first, second)
-    similar, scale = forms_similar(isotropy_form, pair_form)
+    similar, scale = forms_similar(isotropy, pair_form)
     splits = splits_over_quadratic(first, d)
     isotropic = is_isotropic(pair_form)
     return DescentReport(
-        isotropy_form=isotropy_form,
+        isotropy_form=isotropy,
         albert_pair_form=pair_form,
         similar=similar,
         scale=scale,

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,44 @@ def previous_is_isotropic(form):
     if n == 2:
         return form.disc == -1
     return all(previous_locally_isotropic(form, v) for v in relevant_places(form.diag))
+
+
+#: The values ``reports.run_brauer`` draws p, q and r from.
+DESCENT_POOL = (1, -1, 2, 3, -3, 5, 7, -7, 10, 11)
+
+
+def reference_invariants(diag):
+    """``(str, signature, disc, hasse items)`` of the form on ``diag``: the
+    discriminant from the product of the entries, the Hasse invariants from
+    pairwise symbols."""
+    form = RationalQuadraticForm(diag)
+    pos = sum(1 for x in diag if x > 0)
+    hasse = [(str(v), pairwise_hasse(form, v)) for v in relevant_places(diag)]
+    return str(form), (pos, len(diag) - pos), squarefree_part(math.prod(diag)), hasse
+
+
+def reference_descent(p, q, r, d):
+    """Every ``DescentReport`` field of one instance, each Fraction entry and
+    product reduced by ``squarefree_part`` on its own.  Similarity is
+    ``forms_similar`` on the forms of those entries; ``TestSimilaritySolve``
+    checks the solve itself against enumeration."""
+    p, q, r = map(Fraction, (p, q, r))
+    a, b = d * p * q, d * p * r
+    isotropy = tuple(Fraction(squarefree_part(x)) for x in (1, -d, -p, q, r, -d * p * q * r))
+    pair = tuple(Fraction(squarefree_part(x)) for x in (p, d, -p * d, -a, -b, a * b))
+    similar, scale = forms_similar(RationalQuadraticForm(isotropy), RationalQuadraticForm(pair))
+    ramified = [v for v in relevant_places([p, d]) if hilbert_symbol(p, d, v) == -1]
+    isotropic = min(reference_invariants(pair)[1]) > 0
+    return {
+        "isotropy_form": reference_invariants(isotropy),
+        "albert_pair_form": reference_invariants(pair),
+        "similar": similar,
+        "scale": scale,
+        "splits_over_extension": all(not is_local_square(d, v) for v in ramified),
+        "residual_class": (QuaternionClass(a, b), str(a), str(b)),
+        "hypothesis_division_split": not isotropic,
+        "consistent": similar and isotropic,
+    }
 
 
 class TestSquareClasses:
@@ -614,6 +653,43 @@ class TestDescentInstances:
         with pytest.raises(ValueError):
             verify_quaternion_descent_instance(3, 5, 7, 1)
 
+    def test_integer_path_matches_fraction_reference(self):
+        # the report is built from the square classes of p, q, r and d; the
+        # reference reduces each Fraction entry and product on its own
+        rng = random.Random(67)
+        pool = DESCENT_POOL + (4, 12, -18)
+        instances = [(1, 1, 2, 2), (4, 12, -18, -1), (3, 5, 7, 2)]
+        while len(instances) < 2000:
+            p, q, r = (rng.choice(pool) for _ in range(3))
+            instances.append((p, q, r, rng.choice(reports.SQUAREFREE_POOL)))
+        for p, q, r, d in instances:
+            if rng.random() < 0.5:
+                p, q, r = map(Fraction, (p, q, r))
+            report = verify_quaternion_descent_instance(p, q, r, d)
+            expected = reference_descent(p, q, r, d)
+            actual = {field.name: getattr(report, field.name) for field in fields(DescentReport)}
+            for name in ("isotropy_form", "albert_pair_form"):
+                form = actual[name]
+                actual[name] = (
+                    str(form), form.signature, form.disc,
+                    [(str(v), h) for v, h in form.hasse.items()],
+                )
+            residual = actual["residual_class"]
+            actual["residual_class"] = (residual, str(residual.a), str(residual.b))
+            assert actual == expected, (p, q, r, d)
+
+    def test_square_class_reductions_are_budgeted(self, monkeypatch):
+        # d is validated by the descent and by the splitting check, p, q and r
+        # are reduced once each, and each form reduces its six entries once;
+        # every other class is a product of these
+        calls = []
+        squarefree = brauer._squarefree_int
+        monkeypatch.setattr(
+            brauer, "_squarefree_int", lambda n: calls.append(n) or squarefree(n)
+        )
+        verify_quaternion_descent_instance(3, 5, 7, 2)
+        assert len(calls) == 17
+
 
 # -- the dehomogenized search oracle -----------------------------------------
 
@@ -663,7 +739,7 @@ class TestSearchOracle:
         # the oracle shares the local-class reader with the formula, and
         # nothing else: no new helper may make the two agree by construction
         allowed = {
-            "hilbert_symbol_search", "Place.is_real", "_as_nonzero_fraction", "_local_class",
+            "hilbert_symbol_search", "Place.is_real", "_as_nonzero_rational", "_local_class",
             "_split_valuation", "_search_modulus", "_squares_mod", "_squares_mod.<locals>.<genexpr>",
             "_solubility_search",
         }
@@ -836,6 +912,18 @@ class TestFactorizer:
             assert Place.prime(p) is Place.prime(p)
             assert Place.prime(p) == Place(p)
             assert hash(Place.prime(p)) == hash(Place(p))
+
+    def test_prime_power_past_miller_rabin_is_not_prime(self):
+        # a certified prime power is composite wherever it lies; only a cofactor
+        # with no certificate, such as the semiprime, is past the bound
+        for n in (PRIME_20**2, 10000000019**3, PRIME_25[0] ** 2):
+            assert n >= MILLER_RABIN_LIMIT
+            assert not _is_prime(n)
+            with pytest.raises(ValueError, match="not prime") as raised:
+                Place.prime(n)
+            assert type(raised.value) is ValueError
+        with pytest.raises(FactorizationBoundError):
+            _is_prime(SEMIPRIME)
 
     def test_a_failed_prime_place_is_not_cached(self):
         cached = brauer._prime_place.cache_info().currsize

@@ -321,6 +321,17 @@ class TestSingleCommands:
         assert result.returncode == 2
         assert "factorization bound" in result.stderr
 
+    def test_brauer_hilbert_prime_power_place_is_not_prime(self):
+        # the square of a 20-digit prime, past Miller-Rabin's exact range, gets
+        # the usage error of the square of an 11-digit prime below it
+        errors = []
+        for place in (str(10000000000000000051**2), "100000000380000000361"):
+            result = run_cli("brauer", "hilbert", "--a", "2", "--b", "3", "--place", place)
+            assert result.returncode == 2
+            errors.append(result.stderr.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert "must be 'real' or a prime number" in errors[0]
+
     def test_brauer_hilbert_semiprime_argument(self):
         started = time.perf_counter()
         result = run_cli("brauer", "hilbert", "--a", SEMIPRIME, "--b", "3", "--place", "5")

@@ -101,3 +101,22 @@ def test_brauer_import_builds_no_cache():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.split() == ["0", "0", "0"]
+
+
+def test_brauer_import_adds_the_same_modules():
+    # a module the import pulls in, or drops, shifts the start-up cost of every
+    # fresh process that only answers Brauer queries
+    code = (
+        "import sys; before = set(sys.modules); import quadricbundles.brauer; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == [
+        "__future__", "_ast", "_decimal", "_opcode", "ast", "copy", "dataclasses", "decimal",
+        "dis", "fractions", "importlib.machinery", "inspect", "linecache", "numbers", "opcode",
+        "quadricbundles", "quadricbundles.brauer", "quadricbundles.linalg",
+        "quadricbundles.rings", "token", "tokenize",
+    ]
