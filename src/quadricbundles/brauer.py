@@ -5,9 +5,13 @@ Only the standard library is used, and every path does bounded work.
 *Local paths.*  At a prime p a nonzero rational is ``p^v * u`` with ``u`` a
 p-adic unit, and its square class is fixed by ``v mod 2`` and the residue of
 ``u`` mod p (mod 8 at p = 2); see Serre, *A Course in Arithmetic*, Ch. II-III.
-``hilbert_symbol`` and ``is_local_square`` read ``v`` and ``u`` off
-``numerator * denominator`` by repeated division, never factor, and cache the
-symbol formula on the reduced classes.  The real place is settled by signs.
+``hilbert_symbol``, ``hilbert_symbol_search``, ``is_local_square`` and
+``relevant_places`` read each value once, with ``_class_int``, as an integer
+of the same sign and square class: an ``int`` is itself, a ``Fraction`` is
+``numerator * denominator``.  The real place is settled by the sign of that
+integer; at a prime one division loop reads ``v mod 2`` and ``u``, never
+factoring, and the symbol formula is cached on the reduced classes.  No local
+path does ``Fraction`` arithmetic.
 
 *Search oracle.*  ``hilbert_symbol_search`` is an independent check of the
 formula: it reduces ``a`` and ``b`` to ``p^(v mod 2) * u`` modulo ``p^3``
@@ -16,7 +20,9 @@ formula: it reduces ``a`` and ``b`` to ``p^(v mod 2) * u`` modulo ``p^3``
 Hensel's lemma.  A primitive solution has x or y a unit, and dividing by the
 square of that unit sets it to 1, so the search runs over one variable: is
 ``a + b*y^2`` or ``a*y^2 + b`` a square?  That is O(p^3) work per pair.  The
-oracle refuses primes above ``SEARCH_PRIME_LIMIT``.
+table of squares modulo ``m`` is built from ``x <= m/2`` alone, since ``x``
+and ``m - x`` have the same square.  The oracle refuses primes above
+``SEARCH_PRIME_LIMIT``.
 
 *Global paths.*  The prime support of a value (relevant places,
 square-class representatives, the check on ``d``, primality of a ``Place``)
@@ -197,12 +203,8 @@ class Place:
     #: ``Place.prime(p)``: the one shared place of the prime ``p``.
     prime = staticmethod(_prime_place)
 
-    @property
-    def is_real(self):
-        return self.p is None
-
     def __str__(self):
-        return "real" if self.is_real else str(self.p)
+        return "real" if self.p is None else str(self.p)
 
 
 REAL = Place()
@@ -211,6 +213,23 @@ REAL = Place()
 def _as_nonzero_rational(x, label="value"):
     if type(x) is not Fraction and type(x) is not int:
         x = Fraction(x)
+    if not x:
+        raise ValueError("%s must be nonzero" % label)
+    return x
+
+
+def _class_int(x, label="value"):
+    """A nonzero integer with the sign and square class of ``x``: an ``int``
+    itself, a ``Fraction`` its numerator times its denominator, anything else
+    read by ``Fraction`` first.
+
+    The slots are read directly: the ``numerator`` and ``denominator``
+    properties each cost a Python-level call.
+    """
+    if type(x) is not int:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        x = x._numerator * x._denominator
     if not x:
         raise ValueError("%s must be nonzero" % label)
     return x
@@ -231,16 +250,7 @@ def _class_product(s, t):
 
 def squarefree_part(x):
     """Signed squarefree integer representing the square class of ``x``."""
-    x = _as_nonzero_rational(x)
-    return _squarefree_int(x.numerator * x.denominator)
-
-
-def prime_support(x):
-    """Odd primes in the squarefree part of ``x``."""
-    x = _as_nonzero_rational(x)
-    return tuple(
-        p for p, e in _factor(abs(x.numerator * x.denominator)) if e % 2 and p != 2
-    )
+    return _squarefree_int(_class_int(x))
 
 
 def relevant_places(values):
@@ -250,7 +260,8 @@ def relevant_places(values):
     """
     primes = set()
     for value in values:
-        primes.update(prime_support(value))
+        primes.update(p for p, e in _factor(abs(_class_int(value))) if e % 2)
+    primes.discard(2)
     return [REAL, Place.prime(2)] + [Place.prime(p) for p in sorted(primes)]
 
 
@@ -265,24 +276,6 @@ def _epsilon(u):
 
 def _omega(u):
     return ((u * u - 1) // 8) % 2
-
-
-def _split_valuation(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
-def _local_class(x, p, modulus):
-    """``(v mod 2, u mod modulus)`` for a nonzero rational ``x = p^v * u`` up
-    to unit squares.
-
-    Read off ``numerator * denominator``, which is ``x`` times a square.
-    """
-    v, u = _split_valuation(x.numerator * x.denominator, p)
-    return v % 2, u % modulus
 
 
 @lru_cache(maxsize=None)
@@ -303,13 +296,20 @@ def _hilbert_formula(alpha, u, beta, w, p):
 
 def hilbert_symbol(a, b, place):
     """Local Hilbert symbol ``(a, b)`` at a place of Q, by formula."""
-    a = _as_nonzero_rational(a, "a")
-    b = _as_nonzero_rational(b, "b")
-    if place.is_real:
-        return -1 if a < 0 and b < 0 else 1
+    a = _class_int(a, "a")
+    b = _class_int(b, "b")
     p = place.p
+    if p is None:
+        return -1 if a < 0 and b < 0 else 1
+    alpha = beta = 0
+    while a % p == 0:
+        a //= p
+        alpha ^= 1
+    while b % p == 0:
+        b //= p
+        beta ^= 1
     modulus = 8 if p == 2 else p
-    return _hilbert_formula(*_local_class(a, p, modulus), *_local_class(b, p, modulus), p)
+    return _hilbert_formula(alpha, a % modulus, beta, b % modulus, p)
 
 
 def _search_modulus(p):
@@ -318,7 +318,8 @@ def _search_modulus(p):
 
 @lru_cache(maxsize=None)
 def _squares_mod(modulus):
-    return frozenset(x * x % modulus for x in range(modulus))
+    # x and modulus - x have the same square
+    return frozenset(x * x % modulus for x in range(modulus // 2 + 1))
 
 
 @lru_cache(maxsize=None)
@@ -348,31 +349,39 @@ def hilbert_symbol_search(a, b, place):
     Primes above ``SEARCH_PRIME_LIMIT`` are refused.  The real place is
     settled by signs alone.
     """
-    a = _as_nonzero_rational(a, "a")
-    b = _as_nonzero_rational(b, "b")
-    if place.is_real:
-        return 1 if a > 0 or b > 0 else -1
+    a = _class_int(a, "a")
+    b = _class_int(b, "b")
     p = place.p
+    if p is None:
+        return 1 if a > 0 or b > 0 else -1
     if p > SEARCH_PRIME_LIMIT:
         raise ValueError(
             "the search oracle covers primes up to %d, got %d" % (SEARCH_PRIME_LIMIT, p)
         )
+    alpha = beta = 0
+    while a % p == 0:
+        a //= p
+        alpha ^= 1
+    while b % p == 0:
+        b //= p
+        beta ^= 1
     modulus = _search_modulus(p)
-    alpha, u = _local_class(a, p, modulus)
-    beta, w = _local_class(b, p, modulus)
-    return _solubility_search(p ** alpha * u % modulus, p ** beta * w % modulus, p)
+    return _solubility_search(p ** alpha * a % modulus, p ** beta * b % modulus, p)
 
 
 def is_local_square(x, place):
     """Is ``x`` a square in the completion of Q at ``place``?"""
-    x = _as_nonzero_rational(x)
-    if place.is_real:
-        return x > 0
+    x = _class_int(x)
     p = place.p
-    v, u = _local_class(x, p, 8 if p == 2 else p)
+    if p is None:
+        return x > 0
+    v = 0
+    while x % p == 0:
+        x //= p
+        v ^= 1
     if v:
         return False
-    return u == 1 if p == 2 else _legendre(u, p) == 1
+    return x % 8 == 1 if p == 2 else _legendre(x, p) == 1
 
 
 # -- quaternion classes ------------------------------------------------------
@@ -408,16 +417,6 @@ def quaternion_is_split(q):
     """Splitting over Q, with the (even-sized) list of ramified places."""
     ramified = [v for v in relevant_places(q.classes) if hilbert_symbol(*q.classes, v) == -1]
     return (not ramified, ramified)
-
-
-def splits_over_quadratic(q, d):
-    """Does ``q`` (over Q) split after restriction to Q(sqrt(d))?
-
-    Standard criterion: the restriction is trivial iff at every ramified
-    place of ``q`` the completion does not contain sqrt(d).
-    """
-    d = _validate_quadratic_d(d)
-    return all(not is_local_square(d, v) for v in quaternion_is_split(q)[1])
 
 
 def corestriction_projection(a, b_pair, d):
@@ -464,8 +463,8 @@ class RationalQuadraticForm:
         entries = tuple(_as_nonzero_rational(x, "diagonal entry") for x in self.diag)
         if not entries:
             raise ValueError("a form needs at least one diagonal entry")
-        classes = tuple([_squarefree_int(x.numerator * x.denominator) for x in entries])
-        pos = sum(1 for x in entries if x > 0)
+        classes = tuple([_squarefree_int(_class_int(x)) for x in entries])
+        pos = sum(1 for s in classes if s > 0)
         object.__setattr__(self, "diag", entries)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "signature", (pos, len(entries) - pos))
@@ -477,18 +476,28 @@ class RationalQuadraticForm:
 
     @cached_property
     def hasse(self):
-        """Hasse invariant at ``relevant_places(classes)``, read off the classes'
-        factors; +1 at every other place, where each entry is a unit times a square."""
-        primes = sorted({p for s in self.classes for p, _ in _factor(abs(s)) if p != 2})
-        places = (REAL, Place.prime(2), *map(Place.prime, primes))
-        return {v: hasse_invariant(self, v) for v in places}
+        """Hasse invariant at ``relevant_places(classes)``; +1 at every other
+        place, where each entry is a unit times a square.  One pass over the
+        classes' factors lists, for 2 and each prime p of a class, the units
+        ``s/p`` of the classes ``s`` that p divides; then each place is one
+        ``_local_hasse`` call."""
+        divided = {2: []}
+        for s in self.classes:
+            for p, _ in _factor(abs(s)):
+                divided.setdefault(p, []).append(s // p)
+        hasse = {REAL: _local_hasse(self, None, ())}
+        for p in sorted(divided):
+            hasse[Place.prime(p)] = _local_hasse(self, p, divided[p])
+        return hasse
 
     def __str__(self):
         return "<%s>" % ", ".join(str(x) for x in self.diag)
 
 
-def hasse_invariant(form, place):
-    """Product of ``(d_i, d_j)`` over ``i < j`` at the given place.
+def _local_hasse(form, p, divided):
+    """Product of ``(d_i, d_j)`` over ``i < j`` at the prime ``p``, or at the
+    real place for ``p = None``, given the units ``divided`` of the form's
+    classes that p divides.
 
     By bilinearity each entry enters through its square class ``p^(a_i) u_i``
     alone, ``a_i`` 0 or 1: with ``A = sum a_i`` the pairs give ``C(A, 2)`` and
@@ -498,11 +507,9 @@ def hasse_invariant(form, place):
     ``(-1)^(C(E, 2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)`` at
     2, and ``(-1)^C(neg, 2)`` at the real place: O(n) work, not C(n, 2).
     """
-    if place.is_real:
+    if p is None:
         neg = form.signature[1]
         return -1 if neg * (neg - 1) // 2 % 2 else 1
-    p = place.p
-    divided = [s // p for s in form.classes if s % p == 0]
     kept = [s for s in form.classes if s % p]
     total = len(divided)
     odd = kept if total % 2 else divided
@@ -604,7 +611,11 @@ def forms_similar(f, g):
     rows.append((sign_bit if e < 0 else 0, flips[0]))
     for j, (ell, flip) in enumerate(zip(primes, flips[1:])):
         m = 8 if ell == 2 else ell
-        beta, w = _local_class(e, ell, m)
+        beta, w = 0, e
+        while w % ell == 0:
+            w //= ell
+            beta ^= 1
+        w %= m
         if ell != 2 and not beta:  # then (c, e)_l is 1 for a unit c and (e/l) for c = l
             rows.append((1 << j if _legendre(w, ell) == -1 else 0, flip))
             continue
@@ -665,7 +676,8 @@ def verify_quaternion_descent_instance(p, q, r, d):
     second.__dict__["classes"] = _class_product(sdp, sq), _class_product(sdp, sr)
     pair_form = albert_form(first, second)
     similar, scale = forms_similar(isotropy, pair_form)
-    splits = splits_over_quadratic(first, d)
+    # (p, d) splits over Q(sqrt(d)) iff sqrt(d) lies in no completion where it ramifies
+    splits = all(not is_local_square(d, v) for v in quaternion_is_split(first)[1])
     isotropic = is_isotropic(pair_form)
     return DescentReport(
         isotropy_form=isotropy,

@@ -1,3 +1,4 @@
+import fractions
 import json
 import math
 import random
@@ -30,16 +31,13 @@ from quadricbundles.brauer import (
     corestriction_projection,
     forms_equivalent,
     forms_similar,
-    hasse_invariant,
     hilbert_symbol,
     hilbert_symbol_search,
     is_isotropic,
     is_local_square,
-    prime_support,
     quaternion_is_split,
     relevant_places,
     res_cor_doubling_check,
-    splits_over_quadratic,
     squarefree_part,
     verify_quaternion_descent_instance,
 )
@@ -75,7 +73,7 @@ def isometric_by_pairwise(f, g):
 def locally_isotropic(form, place, epsilon):
     """Isotropy at ``place`` of a form of dimension 3 or 4 with Hasse
     invariant ``epsilon`` there."""
-    if place.is_real:
+    if place.p is None:
         pos, neg = form.signature
         return pos > 0 and neg > 0
     if form.dim == 3:
@@ -101,7 +99,7 @@ def previous_locally_isotropic(form, place):
     """Local isotropy as first written: every invariant recomputed at each
     place, with branches for every dimension."""
     n = form.dim
-    if place.is_real:
+    if place.p is None:
         pos, neg = form.signature
         return pos > 0 and neg > 0
     if n >= 5:
@@ -131,6 +129,14 @@ def previous_is_isotropic(form):
     if n == 2:
         return form.disc == -1
     return all(previous_locally_isotropic(form, v) for v in relevant_places(form.diag))
+
+
+def splits_over_quadratic(q, d):
+    """Does ``q`` split after restriction to Q(sqrt(d))?  The restriction is
+    trivial iff no ramified place of ``q`` has sqrt(d) in its completion; the
+    descent asks this of ``(p, d)`` after validating ``d`` itself."""
+    d = brauer._validate_quadratic_d(d)
+    return all(not is_local_square(d, v) for v in quaternion_is_split(q)[1])
 
 
 #: The values ``reports.run_brauer`` draws p, q and r from.
@@ -186,6 +192,19 @@ class TestSquareClasses:
         assert not is_local_square(3, Place.prime(3))
 
 
+#: The least quadratic non-residue of each odd prime the oracle covers.
+LEAST_NON_RESIDUES = {3: 2, 5: 2, 7: 3, 11: 2, 13: 2}
+
+
+def square_class_representatives(p):
+    """One value of each square class of Q_p, or of R for ``p = None``:
+    ``u * p^e`` with e in {0, 1} and u over the unit square classes."""
+    if p is None:
+        return (1, -1)
+    units = (1, 3, 5, 7) if p == 2 else (1, LEAST_NON_RESIDUES[p])
+    return tuple(u * p**e for e in (0, 1) for u in units)
+
+
 class TestHilbertSymbol:
     def test_pinned_values(self):
         assert hilbert_symbol(-1, -1, Place.prime(2)) == -1
@@ -210,6 +229,27 @@ class TestHilbertSymbol:
                 b,
                 str(place),
             )
+
+    def test_formula_matches_oracle_on_every_square_class_pair(self):
+        # every pair of square classes at each place the oracle covers, each
+        # value passed as an int, a Fraction, and times a square prime to p
+        checked = 0
+        for p in (None,) + ORACLE_PRIMES:
+            place = REAL if p is None else Place.prime(p)
+            c = 3 if p == 2 else 2
+            classes = square_class_representatives(p)
+            for x in classes:
+                for y in classes:
+                    values = {
+                        (hilbert_symbol(a, b, place), hilbert_symbol_search(a, b, place))
+                        for a in (x, Fraction(x), x * c * c, Fraction(x, c * c))
+                        for b in (y, Fraction(y), y * c * c, Fraction(y, c * c))
+                    }
+                    assert len(values) == 1, (x, y, str(place), values)
+                    (formula, search), = values
+                    assert formula == search, (x, y, str(place))
+                    checked += 1
+        assert checked == 148
 
     def test_symmetry_and_square_class_invariance(self):
         rng = random.Random(42)
@@ -461,14 +501,14 @@ class TestHasseClosedForm:
         seen = {(v, dim): set() for v in HASSE_PLACES for dim in range(2, 8)}
         for _ in range(2500):
             place = rng.choice(HASSE_PLACES)
-            ell = rng.choice((2, 5, 7, 11)) if place.is_real else place.p
+            ell = rng.choice((2, 5, 7, 11)) if place.p is None else place.p
             dim = rng.randint(1, 7)
             form = RationalQuadraticForm(tuple(local_entry(rng, ell) for _ in range(dim)))
             expected = pairwise_hasse(form, place)
-            assert hasse_invariant(form, place) == expected, (str(form), str(place))
+            assert form.hasse.get(place, 1) == expected, (str(form), str(place))
             if dim > 1:
                 seen[place, dim].add(expected)
-        assert hasse_invariant(RationalQuadraticForm((-3,)), REAL) == 1
+        assert RationalQuadraticForm((-3,)).hasse[REAL] == 1
         # every place and dimension >= 2 meets both values
         assert all(values == {1, -1} for values in seen.values())
 
@@ -491,21 +531,22 @@ class TestHasseClosedForm:
     def test_each_term_of_the_closed_form(self, diag, place, expected):
         form = RationalQuadraticForm(diag)
         assert pairwise_hasse(form, place) == expected
-        assert hasse_invariant(form, place) == expected
+        assert form.hasse[place] == expected
 
     def test_hasse_map_matches_the_closed_form(self):
         # the map's keys are the relevant places; at an odd prime that divides
-        # no entry's square class, its default +1 is the closed form's value
+        # no entry's square class, its default +1 is the value; the pairwise
+        # product is the reference
         rng = random.Random(72)
         for _ in range(300):
             dim = rng.randint(1, 6)
             form = RationalQuadraticForm(tuple(random_rational(rng) for _ in range(dim)))
             assert list(form.hasse) == relevant_places(form.diag)
-            support = {v.p for v in form.hasse if not v.is_real}
+            support = {v.p for v in form.hasse if v.p is not None}
             outside = [Place.prime(p) for p in (3, 5, 7, 11, 13, 41, 43) if p not in support]
             assert outside
-            for v in [REAL, Place.prime(2)] + outside:
-                assert form.hasse.get(v, 1) == hasse_invariant(form, v), (str(form), str(v))
+            for v in list(form.hasse) + outside:
+                assert form.hasse.get(v, 1) == pairwise_hasse(form, v), (str(form), str(v))
 
     def test_forms_equivalent_matches_pairwise_isometry(self):
         rng = random.Random(71)
@@ -590,16 +631,16 @@ class TestDescentInstances:
         # one per form and per place of its own map, the real place, 2 and
         # the primes of its entries' square classes
         calls = []
-        hasse = brauer.hasse_invariant
+        local_hasse = brauer._local_hasse
         monkeypatch.setattr(
             brauer,
-            "hasse_invariant",
-            lambda form, place: calls.append((form, place)) or hasse(form, place),
+            "_local_hasse",
+            lambda form, p, divided: calls.append((form, p)) or local_hasse(form, p, divided),
         )
         report = verify_quaternion_descent_instance(3, 5, 7, d)
         forms = (report.isotropy_form, report.albert_pair_form)
         assert Counter(calls) == Counter(
-            (form, v) for form in forms for v in relevant_places(form.diag)
+            (form, v.p) for form in forms for v in relevant_places(form.diag)
         )
 
     def test_random_instances_consistent(self):
@@ -679,16 +720,15 @@ class TestDescentInstances:
             assert actual == expected, (p, q, r, d)
 
     def test_square_class_reductions_are_budgeted(self, monkeypatch):
-        # d is validated by the descent and by the splitting check, p, q and r
-        # are reduced once each, and each form reduces its six entries once;
-        # every other class is a product of these
+        # d is validated once, p, q and r are reduced once each, and each form
+        # reduces its six entries once; every other class is a product of these
         calls = []
         squarefree = brauer._squarefree_int
         monkeypatch.setattr(
             brauer, "_squarefree_int", lambda n: calls.append(n) or squarefree(n)
         )
         verify_quaternion_descent_instance(3, 5, 7, 2)
-        assert len(calls) == 17
+        assert len(calls) == 16
 
 
 # -- the dehomogenized search oracle -----------------------------------------
@@ -736,12 +776,11 @@ class TestSearchOracle:
                 assert hilbert_symbol(a, b, place) == hilbert_symbol_search(a, b, place)
 
     def test_search_enters_no_formula_code(self):
-        # the oracle shares the local-class reader with the formula, and
-        # nothing else: no new helper may make the two agree by construction
+        # the oracle shares the integer reader with the formula, and nothing
+        # else: no new helper may make the two agree by construction
         allowed = {
-            "hilbert_symbol_search", "Place.is_real", "_as_nonzero_rational", "_local_class",
-            "_split_valuation", "_search_modulus", "_squares_mod", "_squares_mod.<locals>.<genexpr>",
-            "_solubility_search",
+            "hilbert_symbol_search", "_class_int", "_search_modulus", "_squares_mod",
+            "_squares_mod.<locals>.<genexpr>", "_solubility_search",
         }
         places = [REAL] + [Place.prime(p) for p in ORACLE_PRIMES]
         rng = random.Random(66)
@@ -854,7 +893,7 @@ class TestFactorizer:
         with pytest.raises(ValueError):
             Place.prime(99991 * 99989)
         assert squarefree_part(-4 * PRIME_20) == -PRIME_20
-        assert prime_support(Fraction(PRIME_20, 9)) == (PRIME_20,)
+        assert relevant_places([Fraction(PRIME_20, 9)]) == [REAL, Place.prime(2), Place(PRIME_20)]
 
     def test_bound_error_names_the_integer(self):
         assert SEMIPRIME >= MILLER_RABIN_LIMIT
@@ -946,10 +985,7 @@ class TestFactorizer:
 def similar_by_enumeration(f, g):
     """Try every square class +-prod(p) on 2 and the primes of the entries,
     +1 before -1 and prime subsets as binary numbers with 2 lowest."""
-    primes = {2}
-    for x in f.diag + g.diag:
-        primes.update(prime_support(x))
-    primes = sorted(primes)
+    primes = [v.p for v in relevant_places(f.diag + g.diag) if v.p is not None]
     for sign in (1, -1):
         for mask in range(1 << len(primes)):
             c = sign
@@ -1073,3 +1109,202 @@ class TestLargeIntegers:
         for place in relevant_places([a, Fraction(1, b)]):
             product *= hilbert_symbol(a, Fraction(1, b), place)
         assert product == 1
+
+
+# -- the integer reader against the Fraction path -----------------------------
+
+def fraction_nonzero(x, label="value"):
+    """The local paths' reader before the integer reader: a nonzero
+    ``Fraction`` or ``int``, anything else through ``Fraction``."""
+    if type(x) is not Fraction and type(x) is not int:
+        x = Fraction(x)
+    if not x:
+        raise ValueError("%s must be nonzero" % label)
+    return x
+
+
+def fraction_local_class(x, p, modulus):
+    """``(v mod 2, u mod modulus)`` for ``x = p^v * u`` up to unit squares,
+    read off ``numerator * denominator``."""
+    v, n = 0, x.numerator * x.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v % 2, n % modulus
+
+
+def fraction_hilbert_symbol(a, b, place):
+    a = fraction_nonzero(a, "a")
+    b = fraction_nonzero(b, "b")
+    if place.p is None:
+        return -1 if a < 0 and b < 0 else 1
+    p = place.p
+    modulus = 8 if p == 2 else p
+    return brauer._hilbert_formula(
+        *fraction_local_class(a, p, modulus), *fraction_local_class(b, p, modulus), p
+    )
+
+
+def fraction_hilbert_symbol_search(a, b, place):
+    a = fraction_nonzero(a, "a")
+    b = fraction_nonzero(b, "b")
+    if place.p is None:
+        return 1 if a > 0 or b > 0 else -1
+    p = place.p
+    if p > SEARCH_PRIME_LIMIT:
+        raise ValueError(
+            "the search oracle covers primes up to %d, got %d" % (SEARCH_PRIME_LIMIT, p)
+        )
+    modulus = 64 if p == 2 else p**3
+    alpha, u = fraction_local_class(a, p, modulus)
+    beta, w = fraction_local_class(b, p, modulus)
+    return _solubility_search(p**alpha * u % modulus, p**beta * w % modulus, p)
+
+
+def fraction_is_local_square(x, place):
+    x = fraction_nonzero(x)
+    if place.p is None:
+        return x > 0
+    p = place.p
+    v, u = fraction_local_class(x, p, 8 if p == 2 else p)
+    if v:
+        return False
+    return u == 1 if p == 2 else pow(u, (p - 1) // 2, p) == 1
+
+
+def fraction_relevant_places(values):
+    primes = set()
+    for value in values:
+        x = fraction_nonzero(value)
+        primes.update(
+            p for p, e in _factor(abs(x.numerator * x.denominator)) if e % 2 and p != 2
+        )
+    return [REAL, Place.prime(2)] + [Place.prime(p) for p in sorted(primes)]
+
+
+def outcome(function, *args):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return function(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def reader_input(rng, p):
+    """An int, a Fraction or a string: small, ``p^5`` times a unit (or over
+    it), or of 20 digits, with either sign."""
+    sign = rng.choice((1, -1))
+    kind = rng.randrange(6)
+    if kind == 0:
+        num, den = rng.randint(1, 10**4), rng.randint(1, 300)
+    elif kind == 1:
+        unit = rng.randint(1, 10**3)
+        num, den = (p**5 * unit, rng.randint(1, 50)) if rng.random() < 0.5 else (unit, p**5)
+    elif kind == 2:
+        num, den = rng.randrange(10**19, 10**20), rng.choice((1, rng.randrange(10**19, 10**20)))
+    else:
+        num, den = rng.randint(1, 200), rng.randint(1, 12)
+    num *= sign
+    form = rng.randrange(3)
+    if form == 0:
+        return num * den
+    if form == 1:
+        return Fraction(num, den)
+    return "%d/%d" % (num, den) if den != 1 or rng.random() < 0.5 else str(num)
+
+
+def smooth_input(rng):
+    """A value ``relevant_places`` can factor, as an int, Fraction or string;
+    a few carry the 20-digit prime, which trial division alone cannot split
+    off (each such value costs a full pass of the wheel)."""
+    num, den = rng.choice((1, -1)) * (PRIME_20 if rng.random() < 0.03 else 1), 1
+    for _ in range(rng.randint(0, 5)):
+        q = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+        if rng.random() < 0.7:
+            num *= q ** rng.randint(1, 5)
+        else:
+            den *= q ** rng.randint(1, 3)
+    return rng.choice((Fraction(num, den), "%d/%d" % (num, den), num * den))
+
+
+class TestIntegerReader:
+    PLACES = (REAL,) + tuple(Place.prime(p) for p in ORACLE_PRIMES)
+
+    def test_local_paths_match_the_fraction_path(self):
+        rng = random.Random(80)
+        kinds = Counter()
+        for _ in range(3000):
+            place = rng.choice(self.PLACES)
+            p = place.p or rng.choice(ORACLE_PRIMES)
+            a, b = reader_input(rng, p), reader_input(rng, p)
+            kinds.update(type(x).__name__ for x in (a, b))
+            assert outcome(hilbert_symbol, a, b, place) == outcome(
+                fraction_hilbert_symbol, a, b, place
+            ), (a, b, str(place))
+            assert outcome(hilbert_symbol_search, a, b, place) == outcome(
+                fraction_hilbert_symbol_search, a, b, place
+            ), (a, b, str(place))
+            assert outcome(is_local_square, a, place) == outcome(
+                fraction_is_local_square, a, place
+            ), (a, str(place))
+        assert min(kinds[name] for name in ("int", "Fraction", "str")) > 500
+
+    def test_relevant_places_match_the_fraction_path(self):
+        rng = random.Random(81)
+        for _ in range(1500):
+            values = [smooth_input(rng) for _ in range(2)]
+            assert relevant_places(values) == fraction_relevant_places(values), values
+
+    @pytest.mark.parametrize(
+        "bad", [0, Fraction(0), "0", "-0/7", 0.0, "abc", "1/0", "", None, [], 1j], ids=repr
+    )
+    def test_zero_and_non_numbers_raise_as_before(self, bad):
+        place = Place.prime(3)
+        pairs = (
+            (hilbert_symbol, fraction_hilbert_symbol, (bad, 5, place)),
+            (hilbert_symbol, fraction_hilbert_symbol, (5, bad, REAL)),
+            (hilbert_symbol_search, fraction_hilbert_symbol_search, (bad, 5, REAL)),
+            (hilbert_symbol_search, fraction_hilbert_symbol_search, (5, bad, place)),
+            (is_local_square, fraction_is_local_square, (bad, place)),
+            (relevant_places, fraction_relevant_places, ([3, bad],)),
+        )
+        for function, reference, args in pairs:
+            expected = outcome(reference, *args)
+            assert expected[0] in (ValueError, TypeError, ZeroDivisionError)
+            assert outcome(function, *args) == expected, (function.__name__, bad)
+
+    def test_local_paths_enter_no_fraction_code(self):
+        # on Fraction inputs the symbol, the oracle and the sign tests read
+        # integers only: a Fraction comparison or property is a Python call
+        rng = random.Random(82)
+        pairs = [(Fraction(-3, 7), Fraction(-5, 11)), (Fraction(2, 9), Fraction(-1, 4))]
+        pairs += [
+            (random_rational(rng, 10**6, 50), random_rational(rng, 10**6, 50)) for _ in range(40)
+        ]
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            for place in self.PLACES:
+                for a, b in pairs:
+                    hilbert_symbol(a, b, place)
+                    hilbert_symbol_search(a, b, place)
+        finally:
+            sys.setprofile(None)
+        assert (brauer.__file__, "hilbert_symbol") in entered
+        assert {name for filename, name in entered if filename == fractions.__file__} == set()
+
+    def test_relevant_places_factors_each_value_once(self, monkeypatch):
+        rng = random.Random(83)
+        calls = []
+        factor = brauer._factor
+        monkeypatch.setattr(brauer, "_factor", lambda n: calls.append(n) or factor(n))
+        for _ in range(50):
+            values = [random_rational(rng, 10**6, 50) for _ in range(2)]
+            calls.clear()
+            relevant_places(values)
+            assert len(calls) == 2

@@ -373,11 +373,11 @@ class TestSingleCommands:
         # two forms, each at real, 2, 3, 5 and 7: the invariants table reads
         # the values forms_similar computed
         calls = []
-        hasse = brauer.hasse_invariant
+        local_hasse = brauer._local_hasse
         monkeypatch.setattr(
             brauer,
-            "hasse_invariant",
-            lambda form, place: calls.append((form, place)) or hasse(form, place),
+            "_local_hasse",
+            lambda form, p, divided: calls.append((form, p)) or local_hasse(form, p, divided),
         )
         assert main(["brauer", "albert", "--p", "3", "--q", "5", "--r", "7", "--d", "2"]) == 0
         capsys.readouterr()
