@@ -40,10 +40,12 @@ in dimension >= 5 by the local-global principle, and Albert forms of
 quaternion pairs.  Quaternion classes and forms reduce each entry once to its
 square class, a signed squarefree integer, and read every invariant off those:
 classes ``s`` and ``t`` multiply to ``s*t / gcd(s, t)^2``, and the places of
-the Hasse map are the primes of the classes.  Similarity is one linear system
-over F2 in the exponents of the scaling square class, built from
+the Hasse map are the primes of the classes; a product of classes records
+its primes for ``_factor``.  Similarity is decided in even dimension ``n``
+with discriminant ``(-1)^(n(n-1)/2)``, where
 ``s_v(c*f) = s_v(f) * (c, (-1)^(n(n-1)/2) d(f)^(n-1))_v`` (Lam,
-*Introduction to Quadratic Forms over Fields*, Ch. V).
+*Introduction to Quadratic Forms over Fields*, Ch. V) moves no Hasse
+invariant: only the sign of ``c`` acts.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ def _miller_rabin(n):
     return True
 
 
-@lru_cache(maxsize=None)
 def _is_prime(n):
     """Exact primality of ``n``; past ``MILLER_RABIN_LIMIT`` a certified prime
     power is not prime, and any other ``n`` raises."""
@@ -153,9 +154,15 @@ def _prime_power(m):
     return None
 
 
-@lru_cache(maxsize=None)
+#: ``n -> _factor(n)``, including the classes ``_class_product`` builds.
+_factorizations = {}
+
+
 def _factor(n):
     """Prime factorization ``((p, e), ...)`` of an integer ``n >= 1``, ascending."""
+    factors = _factorizations.get(n)
+    if factors is not None:
+        return factors
     factors = []
     m = n
     for p in _trial_divisors():
@@ -175,10 +182,12 @@ def _factor(n):
             power = _prime_power(m)
             if power is None:
                 raise FactorizationBoundError(n)
-            return tuple(factors) + (power,)
+            factors.append(power)
+            m = 1
     if m > 1:
         factors.append((m, 1))
-    return tuple(factors)
+    factors = _factorizations[n] = tuple(factors)
+    return factors
 
 
 @lru_cache(maxsize=None)
@@ -244,8 +253,14 @@ def _squarefree_int(n):
 
 
 def _class_product(s, t):
-    """Square class of ``s*t`` for signed squarefree integers ``s`` and ``t``."""
-    return s * t // gcd(s, t) ** 2
+    """Square class of ``s*t`` for signed squarefree integers ``s`` and ``t``;
+    its primes, those of exactly one of them, are recorded for ``_factor``, so
+    a class built from factored classes is never trial-divided."""
+    u = s * t // gcd(s, t) ** 2
+    if abs(u) not in _factorizations:
+        primes = {p for p, _ in _factor(abs(s))} ^ {p for p, _ in _factor(abs(t))}
+        _factorizations[abs(u)] = tuple((p, 1) for p in sorted(primes))
+    return u
 
 
 def squarefree_part(x):
@@ -541,95 +556,36 @@ def is_isotropic(form):
     return pos > 0 and neg > 0
 
 
-def _least_solution(rows):
-    """Least ``x`` with ``popcount(mask & x) % 2 == rhs`` for every
-    ``(mask, rhs)`` row over F2, or None when the rows are inconsistent.
-
-    Each pivot sits at the lowest bit of its row, so a pivot depends only on
-    higher bits; setting every free bit to 0 from the top down then gives the
-    least solution.
-    """
-    pivots = {}
-    for mask, rhs in rows:
-        while mask:
-            low = mask & -mask
-            if low not in pivots:
-                pivots[low] = (mask, rhs)
-                break
-            pivot_mask, pivot_rhs = pivots[low]
-            mask ^= pivot_mask
-            rhs ^= pivot_rhs
-        else:
-            if rhs:
-                return None
-    x = 0
-    for low in sorted(pivots, reverse=True):
-        mask, rhs = pivots[low]
-        if ((mask & x).bit_count() + rhs) % 2:
-            x |= low
-    return x
-
-
 def forms_similar(f, g):
     """Is there ``c`` with ``c*f`` isometric to ``g``?  Returns (bool, c).
 
-    ``c`` ranges over the square classes ``(-1)^s * prod p^(x_p)`` for ``p`` in
-    2 and the primes of the entries: any valid scaling can be moved into this
-    set because the Hasse invariants of both forms are trivial at every
-    other place.  Isometry of ``c*f`` and ``g`` is then linear over F2 in
-    ``(s, x_p)``: the signature fixes ``s`` unless it is balanced; in odd
-    dimension ``d(c*f) = c*d(f)`` must be ``d(g)``, in even dimension
-    ``d(f) = d(g)``; at the real place, 2 and each odd prime,
-    ``s_v(c*f) = s_v(f) * (c, e)_v`` with ``e = (-1)^(n(n-1)/2) d(f)^(n-1)``
-    must be ``s_v(g)``.  The ``c`` returned is the first hit of the order
-    that puts +1 before -1 and then counts through the subsets of primes as
-    binary numbers with 2 as the lowest bit.
+    Decided in even dimension ``n`` when one form has discriminant (class of
+    the entries' product) ``(-1)^(n(n-1)/2)``; other pairs raise ``ValueError``.
+    Scaling gives ``d(c*f) = c^n d(f) = d(f)`` and ``s_v(c*f) = s_v(f) (c, e)_v``
+    with ``e = (-1)^(n(n-1)/2) d(f)^(n-1)`` (Lam, *Introduction to Quadratic
+    Forms over Fields*, Ch. V), a square here as ``n - 1`` is odd.  So only the
+    sign of ``c`` acts: ``f`` and ``g`` are similar iff their discriminants and
+    Hasse maps (+1 off each map's places) agree and ``g`` has the signature of
+    ``f``, for ``c = 1`` (tried first), or its flip, for ``c = -1``.  The
+    descent's forms ``<1, -d, -p, q, r, -dpqr>`` and Albert forms
+    ``<a1, b1, -a1*b1, -a2, -b2, a2*b2>`` qualify: their entries multiply to
+    minus a square, and ``(-1)^(6*5/2) = -1``.
     """
     if f.dim != g.dim:
         raise ValueError("forms of different dimension cannot be similar")
     n = f.dim
-    flipped = f.signature[::-1]
-    if g.signature not in (f.signature, flipped) or (n % 2 == 0 and f.disc != g.disc):
-        return False, None
-    fh, gh = ({v.p: h for v, h in form.hasse.items()} for form in (f, g))
-    primes = sorted((fh.keys() | gh.keys()) - {None})
-    sign_bit = 1 << len(primes)
-
-    rows = []
-    if flipped != f.signature:
-        rows.append((sign_bit, int(g.signature == flipped)))
-    if n % 2:
-        rows.append((sign_bit, int((f.disc < 0) != (g.disc < 0))))
-        rows.extend(
-            (1 << i, int((f.disc % p == 0) != (g.disc % p == 0))) for i, p in enumerate(primes)
+    if n % 2 or (-1) ** (n * (n - 1) // 2) not in (f.disc, g.disc):
+        raise ValueError(
+            "similarity needs even dimension n and a discriminant (-1)^(n(n-1)/2)"
         )
-
-    # (c, e)_v for c = -1 and each p: only signs matter at the real place; at
-    # a prime l, -1 has class (0, m - 1) and p has (1, 1) if p = l, else (0, p).
-    e = (-1) ** (n * (n - 1) // 2) * (f.disc if n % 2 == 0 else 1)
-    flips = [int(fh.get(p, 1) != gh.get(p, 1)) for p in [None] + primes]
-    rows.append((sign_bit if e < 0 else 0, flips[0]))
-    for j, (ell, flip) in enumerate(zip(primes, flips[1:])):
-        m = 8 if ell == 2 else ell
-        beta, w = 0, e
-        while w % ell == 0:
-            w //= ell
-            beta ^= 1
-        w %= m
-        if ell != 2 and not beta:  # then (c, e)_l is 1 for a unit c and (e/l) for c = l
-            rows.append((1 << j if _legendre(w, ell) == -1 else 0, flip))
-            continue
-        mask = sign_bit if _hilbert_formula(0, m - 1, beta, w, ell) == -1 else 0
-        for i, p in enumerate(primes):
-            if _hilbert_formula(*((1, 1) if p == ell else (0, p % m)), beta, w, ell) == -1:
-                mask |= 1 << i
-        rows.append((mask, flip))
-
-    x = _least_solution(rows)
-    if x is None:
-        return False, None
-    c = prod(p for i, p in enumerate(primes) if x >> i & 1)
-    return True, -c if x & sign_bit else c
+    if f.disc == g.disc and all(
+        f.hasse.get(v, 1) == g.hasse.get(v, 1) for v in f.hasse.keys() | g.hasse.keys()
+    ):
+        if g.signature == f.signature:
+            return True, 1
+        if g.signature == f.signature[::-1]:
+            return True, -1
+    return False, None
 
 
 def albert_form(q1, q2):

@@ -139,6 +139,17 @@ def splits_over_quadratic(q, d):
     return all(not is_local_square(d, v) for v in quaternion_is_split(q)[1])
 
 
+def trivial_discriminant_form(rng, dim, pool):
+    """A form of even dimension ``dim`` whose discriminant is
+    ``(-1)^(dim(dim-1)/2)``: entries drawn from ``pool`` and a last entry
+    that makes their product that sign times a square."""
+    entries = [rng.choice(pool) for _ in range(dim - 1)]
+    sign = (-1) ** (dim * (dim - 1) // 2)
+    entries.append(sign * math.prod(entries) * rng.choice((1, 4, Fraction(1, 9))))
+    rng.shuffle(entries)
+    return RationalQuadraticForm(tuple(entries))
+
+
 #: The values ``reports.run_brauer`` draws p, q and r from.
 DESCENT_POOL = (1, -1, 2, 3, -3, 5, 7, -7, 10, 11)
 
@@ -440,9 +451,11 @@ class TestForms:
         assert isotropic(RationalQuadraticForm((1, 1, 1, -1)))
 
     def test_similarity_reflexive(self):
-        form = RationalQuadraticForm((1, -2, 3))
-        similar, c = forms_similar(form, form)
-        assert similar and c == 1
+        # dimensions 2, 4 and 6 with discriminant (-1)^(n(n-1)/2); the
+        # balanced signatures are their own flip, and c = 1 comes first
+        for diag in ((2, -2), (1, 2, 3, 6), (1, -2, 3, -6), (3, 1, -1, 5, -5, -3)):
+            form = RationalQuadraticForm(diag)
+            assert forms_similar(form, form) == (True, 1), diag
 
     def test_scaled_hyperbolic(self):
         similar, c = forms_similar(
@@ -454,32 +467,55 @@ class TestForms:
         with pytest.raises(ValueError):
             forms_similar(RationalQuadraticForm((1,)), RationalQuadraticForm((1, 2)))
 
+    def test_similarity_outside_its_domain_is_refused(self):
+        for f, g in (
+            # odd dimension, whatever the discriminants
+            ((1,), (1,)),
+            ((1, -2, 3), (1, -2, 3)),
+            ((1, 1, 1, 1, 1), (-1, -1, -1, -1, -1)),
+            # even dimension, neither discriminant (-1)^(n(n-1)/2)
+            ((1, 1), (1, 2)),
+            ((1, 1, 1, 2), (1, 1, 1, 2)),
+            ((1, -2, 3, 5, 7, 11), (1, -1, 1, -1, 1, 1)),
+        ):
+            with pytest.raises(ValueError, match="even dimension"):
+                forms_similar(RationalQuadraticForm(f), RationalQuadraticForm(g))
+
     def test_similarity_is_equivalence_relation(self):
         rng = random.Random(50)
         pool = [1, -1, 2, -2, 3, -3, 5, 6, -6]
-        forms = [
-            RationalQuadraticForm(tuple(rng.choice(pool) for _ in range(3)))
-            for _ in range(8)
-        ]
+        forms = [trivial_discriminant_form(rng, 4, pool) for _ in range(10)]
+        outcomes = set()
         for f in forms:
             assert forms_similar(f, f)[0]
         for f in forms:
             for g in forms:
                 fg = forms_similar(f, g)[0]
+                outcomes.add(fg)
                 assert fg == forms_similar(g, f)[0]
                 if fg:
                     for h in forms:
                         if forms_similar(g, h)[0]:
                             assert forms_similar(f, h)[0]
+        assert outcomes == {False, True}
 
     def test_similar_forms_share_even_dim_discriminant(self):
+        # with one discriminant trivial, another discriminant is never
+        # similar, here with the signature and every Hasse invariant equal
+        f, g = RationalQuadraticForm((1, 1, 1, 1)), RationalQuadraticForm((1, 1, 1, 2))
+        assert (f.signature, f.hasse) == (g.signature, g.hasse) and f.disc != g.disc
+        assert forms_similar(f, g) == forms_similar(g, f) == (False, None)
         rng = random.Random(51)
         pool = [1, -1, 2, -2, 3, 5]
-        for _ in range(25):
-            f = RationalQuadraticForm(tuple(rng.choice(pool) for _ in range(4)))
+        differ = 0
+        for _ in range(40):
+            f = trivial_discriminant_form(rng, 4, pool)
             g = RationalQuadraticForm(tuple(rng.choice(pool) for _ in range(4)))
-            if forms_similar(f, g)[0]:
-                assert f.disc == g.disc
+            assert forms_similar(f, g)[0] == forms_similar(g, f)[0]
+            if f.disc != g.disc:
+                differ += 1
+                assert forms_similar(f, g) == (False, None)
+        assert 10 < differ < 40
 
 
 #: Real, 2, a prime 1 mod 4, a prime 3 mod 4, and one past 10.
@@ -926,6 +962,19 @@ class TestFactorizer:
             with pytest.raises(FactorizationBoundError, match=str(n)):
                 _factor(n)
 
+    def test_class_product_records_its_factorization(self):
+        # p*q is below MILLER_RABIN_LIMIT and no root splits it, so trial
+        # division refuses 3*p*q; as the product of the classes 3p and -q,
+        # its primes are known
+        p, q = 10000000019, 10000000033
+        with pytest.raises(FactorizationBoundError, match=str(3 * p * q)):
+            _factor(3 * p * q)
+        assert brauer._class_product(3 * p, -q) == -3 * p * q
+        assert _factor(3 * p * q) == ((3, 1), (p, 1), (q, 1))
+        # primes in both classes cancel
+        assert brauer._class_product(6 * q, 3 * p * q) == 2 * p
+        assert _factor(2 * p) == ((2, 1), (p, 1))
+
     def test_integer_root_is_exact_past_float_range(self):
         rng = random.Random(73)
         for _ in range(300):
@@ -980,7 +1029,7 @@ class TestFactorizer:
         assert hilbert_symbol(SEMIPRIME, -1, REAL) == 1
 
 
-# -- similarity as one F2 solve ------------------------------------------------
+# -- similarity from the classification invariants ---------------------------
 
 def similar_by_enumeration(f, g):
     """Try every square class +-prod(p) on 2 and the primes of the entries,
@@ -997,64 +1046,111 @@ def similar_by_enumeration(f, g):
     return False, None
 
 
+def descent_pairs(rng, count):
+    """``(isotropy form, Albert form)`` of ``count`` instances drawn from the
+    ``run brauer`` pool, each form also paired with the next instance's
+    Albert form; all forms are new, so none has built its Hasse map."""
+    reports_ = [
+        verify_quaternion_descent_instance(
+            *(rng.choice(DESCENT_POOL) for _ in range(3)), rng.choice(reports.SQUAREFREE_POOL)
+        )
+        for _ in range(count)
+    ]
+    forms = [
+        tuple(RationalQuadraticForm(form.diag) for form in (r.isotropy_form, r.albert_pair_form))
+        for r in reports_
+    ]
+    return [
+        pair
+        for (isotropy, albert), (_, following) in zip(forms, forms[1:] + forms[:1])
+        for pair in ((isotropy, albert), (isotropy, following), (following, albert))
+    ]
+
+
 class TestSimilaritySolve:
     def test_matches_enumeration_oracle(self):
         rng = random.Random(63)
         pool = [1, 2, 3, 5, 6, 10, 15, 4, Fraction(1, 2), Fraction(3, 5)]
-        similar = 0
-        for _ in range(2000):
-            dim = rng.randint(1, 6)
-            f = RationalQuadraticForm(
-                tuple(rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim))
-            )
-            if rng.random() < 0.5:
-                c = rng.choice((1, -1)) * rng.choice(pool)
+        signed = [sign * x for x in pool for sign in (1, -1)]
+        # a balanced (3, 3) pair is similar for c = 1 and for c = -1
+        balanced = RationalQuadraticForm((3, 1, -1, 5, -5, -3))
+        pairs = [(balanced, RationalQuadraticForm((-6, -2, 2, 10, -10, 6)))]
+        pairs += descent_pairs(rng, 30)
+        for _ in range(600):
+            f = trivial_discriminant_form(rng, rng.choice((2, 4, 6)), signed)
+            kind = rng.randrange(3)
+            if kind == 0:
+                c = rng.choice(signed)
                 entries = [c * x * rng.choice((1, 4, 9, Fraction(1, 4))) for x in f.diag]
                 rng.shuffle(entries)
+                g = RationalQuadraticForm(tuple(entries))
+            elif kind == 1:
+                g = trivial_discriminant_form(rng, f.dim, signed)
             else:
-                entries = [rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim)]
-            g = RationalQuadraticForm(tuple(entries))
+                g = RationalQuadraticForm(tuple(rng.choice(signed) for _ in range(f.dim)))
+            pairs.append((f, g) if rng.random() < 0.5 else (g, f))
+        outcomes = Counter()
+        for f, g in pairs:
             expected = similar_by_enumeration(f, g)
             assert forms_similar(f, g) == expected, (str(f), str(g))
-            similar += expected[0]
-        assert 600 < similar < 1800
+            outcomes[f.dim, expected[1], f.signature == f.signature[::-1]] += 1
+        assert forms_similar(*pairs[0]) == (True, 1)
+        # c = 1 is found on balanced signatures in dimensions 2, 4 and 6, and
+        # c = -1 in 4 and 6; in dimension 2 discriminant -1 forces (1, 1)
+        for dim in (2, 4, 6):
+            expected = {1, None} if dim == 2 else {1, -1, None}
+            assert {c for d, c, _ in outcomes if d == dim} == expected
+            assert outcomes[dim, 1, True] > 0
 
-    def test_makes_no_hilbert_symbol_calls(self, monkeypatch):
-        # the rows and the Hasse invariants come from local classes alone
+    def test_makes_no_hilbert_symbol_calls(self):
+        # the forms are new, so forms_similar builds both Hasse maps under the
+        # profile, and the formula's cache is empty, so any symbol enters it
         rng = random.Random(64)
-        pool = [1, 2, 3, 5, 7, 6, 10, Fraction(1, 2), Fraction(3, 5)]
-        pairs = [
-            (report.isotropy_form, report.albert_pair_form)
-            for report in (
-                verify_quaternion_descent_instance(p, q, r, d)
-                for p, q, r, d in ((3, 5, 7, 2), (2, 3, 5, -1), (-7, 10, 3, 17))
-            )
+        pool = [1, -1, 2, 3, 5, 7, 6, 10, Fraction(1, 2), Fraction(3, 5)]
+        pairs = descent_pairs(rng, 4) + [
+            (trivial_discriminant_form(rng, 4, pool), trivial_discriminant_form(rng, 4, pool))
+            for _ in range(40)
         ]
-        for _ in range(200):
-            dim = rng.randint(1, 6)
-            f, g = (
-                RationalQuadraticForm(
-                    tuple(rng.choice((1, -1)) * rng.choice(pool) for _ in range(dim))
-                )
-                for _ in range(2)
-            )
-            pairs.append((f, g))
-        expected = [similar_by_enumeration(f, g) for f, g in pairs]
+        entered = set()
 
-        def refuse(*args):
-            raise AssertionError("forms_similar called hilbert_symbol")
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code)
 
-        monkeypatch.setattr(brauer, "hilbert_symbol", refuse)
-        assert [forms_similar(f, g) for f, g in pairs] == expected
-        assert sum(similar for similar, _ in expected) > 20
+        brauer._hilbert_formula.cache_clear()
+        sys.setprofile(profile)
+        try:
+            answers = [forms_similar(f, g) for f, g in pairs]
+        finally:
+            sys.setprofile(None)
+        assert {forms_similar.__code__, brauer._local_hasse.__code__} <= entered
+        assert brauer.hilbert_symbol.__code__ not in entered
+        assert brauer._hilbert_formula.__wrapped__.__code__ not in entered
+        assert answers == [similar_by_enumeration(f, g) for f, g in pairs]
+        assert {similar for similar, _ in answers} == {False, True}
 
     def test_thirteen_prime_non_similar_pair_is_fast(self):
-        f = RationalQuadraticForm((3 * 5, 7 * 11, -13 * 17, 19 * 23, -29 * 31, 2 * 37 * 41))
-        g = RationalQuadraticForm((187, 299, 38, 259, -205, -2697))
-        assert (f.disc, f.signature) == (g.disc, g.signature)
+        # discriminant -1, a balanced signature and thirteen primes; the Hasse
+        # maps differ at 2, 7, 11 and 37
+        primes = (2, 3, 5, 7, 11, 37, 13, 17, 41, 19, 23, 29, 31)
+        last = -math.prod(primes)
+        f = RationalQuadraticForm((30, 7 * 11 * 37, -13 * 17 * 41, 19 * 23, -29 * 31, last))
+        g = RationalQuadraticForm((2 * 37 * 41, 3 * 11 * 23, -5 * 19 * 29, 91, -17 * 31, last))
+        assert (f.disc, f.signature) == (g.disc, g.signature) == (-1, (3, 3))
+        differ = [p for p in primes if pairwise_hasse(f, Place(p)) != pairwise_hasse(g, Place(p))]
+        assert differ == [2, 7, 11, 37]
         started = time.perf_counter()
         assert forms_similar(f, g) == (False, None)
+        scaled = RationalQuadraticForm(tuple(last * x for x in f.diag))
+        assert forms_similar(f, scaled) == (True, 1)
         assert time.perf_counter() - started < 1.0
+
+    def test_hasse_maps_compared_over_both_places(self):
+        # g's map has -1 at 3 and 5, places f's map does not list
+        f, g = RationalQuadraticForm((1, 1, 1, 1)), RationalQuadraticForm((2, 6, 5, 60))
+        assert set(f.hasse) < set(g.hasse)
+        assert all(f.hasse[v] == g.hasse[v] for v in f.hasse)
+        assert forms_similar(f, g) == forms_similar(g, f) == (False, None)
 
 
 # -- large integers ------------------------------------------------------------

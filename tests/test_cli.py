@@ -369,6 +369,51 @@ class TestSingleCommands:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["consistent"] is True
 
+    @pytest.mark.parametrize(
+        "p, q, r, d",
+        [
+            ("10000000019", "10000000033", "7", "2"),
+            ("10000000019", "7", "5", "10000000033"),
+        ],
+    )
+    def test_brauer_albert_two_large_primes_in_different_inputs(self, p, q, r, d):
+        # the forms hold the semiprime 10000000019 * 10000000033 in their
+        # entries; the reference takes each Hasse invariant from pairwise
+        # Hilbert symbols of the unreduced entries, which factor nothing
+        started = time.perf_counter()
+        result = run_cli("brauer", "albert", "--p", p, "--q", q, "--r", r, "--d", d)
+        assert time.perf_counter() - started < 2.0
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["similar"] and payload["consistent"] and payload["scale"] == 1
+        p, q, r, d = map(int, (p, q, r, d))
+        a, b = d * p * q, d * p * r
+        primes = (2, 5, 7, 10000000019, 10000000033)
+        places = [brauer.REAL] + [brauer.Place.prime(v) for v in primes]
+        for name, diag in (
+            ("isotropy_form", (1, -d, -p, q, r, -d * p * q * r)),
+            ("albert_pair_form", (p, d, -p * d, -a, -b, a * b)),
+        ):
+            # entries multiplying to minus a square: discriminant -1
+            assert math.isqrt(-math.prod(diag)) ** 2 == -math.prod(diag)
+            invariants = payload["invariants"][name]
+            assert (invariants["dim"], invariants["disc"]) == (6, -1)
+            assert invariants["signature"] == [sum(x > 0 for x in diag), sum(x < 0 for x in diag)]
+            hasse = dict(invariants["hasse"])
+            assert set(hasse) <= {str(v) for v in places}
+            for v in places:
+                expected = math.prod(
+                    brauer.hilbert_symbol(x, y, v) for i, x in enumerate(diag) for y in diag[i + 1:]
+                )
+                assert hasse.get(str(v), 1) == expected, (name, str(v))
+
+    def test_brauer_albert_semiprime_in_one_input_is_usage_error(self):
+        # the same two primes in one input: a semiprime below MILLER_RABIN_LIMIT
+        semiprime = str(10000000019 * 10000000033)
+        result = run_cli("brauer", "albert", "--p", semiprime, "--q", "5", "--r", "7", "--d", "2")
+        assert result.returncode == 2
+        assert semiprime in result.stderr
+
     def test_brauer_albert_computes_each_hasse_invariant_once(self, monkeypatch, capsys):
         # two forms, each at real, 2, 3, 5 and 7: the invariants table reads
         # the values forms_similar computed

@@ -90,17 +90,17 @@ def test_detects_a_third_party_import():
 
 
 def test_brauer_import_builds_no_cache():
-    # the factorizations, the primality verdicts and the prime places are
-    # built on first use, so importing the module costs no arithmetic
+    # the factorizations and the prime places are built on first use, so
+    # importing the module costs no arithmetic
     code = (
         "import quadricbundles.brauer as b; "
-        "print(*(f.cache_info().currsize for f in (b._factor, b._is_prime, b._prime_place)))"
+        "print(len(b._factorizations), b._prime_place.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == ["0", "0", "0"]
+    assert result.stdout.split() == ["0", "0"]
 
 
 def test_brauer_import_adds_the_same_modules():
