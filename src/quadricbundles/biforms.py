@@ -84,23 +84,6 @@ def _exponents(monomial):
     return exps
 
 
-@dataclass(frozen=True)
-class BiformVector:
-    """A biform with coefficients in the Laurent ring k[r^+-, s^+-, t^+-]."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != 9:
-            raise ValueError("a biform vector has nine coordinates")
-        for c in self.coords:
-            if c.table != RST:
-                raise ValueError("coordinates must live over the r, s, t ring")
-
-    def __add__(self, other):
-        return BiformVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-
 @dataclass(frozen=True, eq=False)
 class MonomialScaledModule:
     """Module generated by Laurent monomials times constant biforms.
@@ -130,8 +113,9 @@ class MonomialScaledModule:
         return invert_matrix(columns)
 
     def generator_vector(self, j):
+        """Generator ``j`` as nine coordinates in the Laurent ring over r, s, t."""
         monomial, form = self.gens[j]
-        return BiformVector(tuple(monomial * c for c in form))
+        return tuple(monomial * c for c in form)
 
 
 def _module(name, inverted, gens):
@@ -231,7 +215,7 @@ def membership(vector, module):
     # the generator monomials
     scaled = [
         sum(
-            (inverse[j][i] * vector.coords[i] for i in range(9)),
+            (inverse[j][i] * vector[i] for i in range(9)),
             LaurentPolynomial.zero(RST),
         )
         for j in range(9)
@@ -253,10 +237,10 @@ def membership(vector, module):
 
 def back_substitute(certificate, module):
     """Reassemble ``sum_j c_j * gen_j`` from a membership certificate."""
-    total = BiformVector(tuple(LaurentPolynomial.zero(RST) for _ in range(9)))
+    total = (LaurentPolynomial.zero(RST),) * 9
     for coefficient, (monomial, form) in zip(certificate.coefficients, module.gens):
         scale = coefficient * monomial
-        total = total + BiformVector(tuple(scale * c for c in form))
+        total = tuple(a + scale * c for a, c in zip(total, form))
     return total
 
 

@@ -103,23 +103,6 @@ def _miller_rabin(n):
     return True
 
 
-def _is_prime(n):
-    """Exact primality of ``n``; past ``MILLER_RABIN_LIMIT`` a certified prime
-    power is not prime, and any other ``n`` raises."""
-    if n < 2:
-        return False
-    for p in _trial_divisors():
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return False
-    if n < MILLER_RABIN_LIMIT:
-        return _miller_rabin(n)
-    if _prime_power(n) is not None:
-        return False
-    raise FactorizationBoundError(n)
-
-
 def _integer_root(m, k):
     """Largest ``r`` with ``r^k <= m``: ``isqrt``, or for ``k > 2`` Newton's
     method in integers.  Its start is ``2^(log2(m) / k)`` read off the top 64
@@ -205,7 +188,7 @@ class Place:
     def __post_init__(self):
         if self.p is not None:
             p = int(self.p)
-            if p != self.p or not _is_prime(p):
+            if p != self.p or p < 2 or _factor(p) != ((p, 1),):
                 raise ValueError("%r is not prime" % (self.p,))
             object.__setattr__(self, "p", p)
 

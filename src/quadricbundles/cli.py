@@ -109,13 +109,21 @@ def _place(text):
 
 def _json_path(text):
     """argparse type for ``--json``: a path in an existing directory that is
-    not itself a directory, so that a report that cannot be written fails
-    before any suite runs."""
+    not itself a directory and that the system will create a file at, so
+    that a report that cannot be written fails before any suite runs.  A
+    file the check creates is removed; an existing one is not opened."""
     directory = os.path.dirname(text)
     if directory and not os.path.isdir(directory):
         raise argparse.ArgumentTypeError("directory %r does not exist" % directory)
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError("%r is a directory" % text)
+    try:
+        os.close(os.open(text, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return text
+    except OSError as exc:
+        raise argparse.ArgumentTypeError("cannot write %r: %s" % (text, exc.strerror)) from None
+    os.unlink(text)
     return text
 
 
@@ -263,11 +271,8 @@ def main(argv=None):
             "isotropy_form": _invariant_table(report.isotropy_form),
             "albert_pair_form": _invariant_table(report.albert_pair_form),
         },
-        "similar": report.similar,
-        "scale": report.scale,
-        "splits_over_extension": report.splits_over_extension,
+        **reports.descent_verdict(report),
         "hypothesis_division_split": report.hypothesis_division_split,
-        "consistent": report.consistent,
     }
     _emit(payload, args.json_path, sys.stdout)
     return 0 if report.consistent else 1

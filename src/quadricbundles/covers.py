@@ -1,8 +1,9 @@
 """Double-cover coordinate maps realizing the quadric bundle normal forms.
 
-Each map goes from the cover ``A^n`` (coordinates ``s_1..s_m, t_{m+1}..t_n``,
-with ``s_i^2 = t_i``) times the quadric ``A^2 - B^2 + C^2 - D^2 = 0`` down to
-the bundle in coordinates ``K:L:M:N`` over ``k[t_1..t_n]``.  The projective
+Each map goes from the cover ``A^m`` (coordinates ``s_1..s_m``, with
+``s_i^2 = t_i``) times the quadric ``A^2 - B^2 + C^2 - D^2 = 0`` down to the
+bundle in coordinates ``K:L:M:N`` over ``k[t_1..t_m]``, where ``m`` is the
+least base dimension of the normal form.  The projective
 components are monomials in the ``s_i`` times one of A, B, C, D.  Verified
 here: the pullback of the bundle equation factors as a square monomial times
 the base quadric, a sign action of the 2-torus on the cover making the map
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundles import MIN_DIMENSION, PROJECTIVE_NAMES, check_dimension, equation_table, normal_form
+from .bundles import PROJECTIVE_NAMES, equation_table, normal_form
 from .rings import (
     DivisionError,
     LaurentPolynomial,
@@ -52,10 +53,8 @@ class EquivarianceError(CoverMapError):
 
 
 @lru_cache(maxsize=None)
-def cover_table(m, n, localized=False):
-    names = tuple("s%d" % i for i in range(1, m + 1))
-    names += tuple("t%d" % i for i in range(m + 1, n + 1))
-    names += LETTERS
+def cover_table(m, localized=False):
+    names = tuple("s%d" % i for i in range(1, m + 1)) + LETTERS
     invertible = names[:m] if localized else ()
     return VariableTable(names, invertible)
 
@@ -70,19 +69,18 @@ def inverse_table(m):
 class CoverMap:
     """Coordinate map from the cover to the bundle.
 
-    ``base_images`` are the images of ``t_1..t_n`` and ``proj_images`` the
+    ``base_images`` are the images of ``t_1..t_m`` and ``proj_images`` the
     images of ``K:L:M:N``, all over the cover table.
     """
 
     entry: int
     m: int
-    n: int
     base_images: tuple
     proj_images: tuple
 
     @property
     def table(self):
-        return cover_table(self.m, self.n)
+        return cover_table(self.m)
 
     def homomorphism(self):
         images = {}
@@ -90,28 +88,23 @@ class CoverMap:
             images["t%d" % i] = img
         for letter, img in zip(PROJECTIVE_NAMES, self.proj_images):
             images[letter] = img
-        return RingHomomorphism(equation_table(self.n), self.table, images)
+        return RingHomomorphism(equation_table(self.m), self.table, images)
 
 
-def cover_map(entry, n=None):
-    """The cover map for normal form ``entry`` (2..8) over dimension ``n``."""
+def cover_map(entry):
+    """The cover map for normal form ``entry`` (2..8) over its least base
+    dimension ``m``, which is also the number of doubled coordinates."""
     if entry not in COVER_SPECS:
         raise ValueError(
             "no cover map for entry %r: entries 2..8 have one, entry 1 is the"
             " identity model" % (entry,)
         )
-    if n is None:
-        n = MIN_DIMENSION[entry]
-    check_dimension(entry, n)
     spec = COVER_SPECS[entry]
     m = max(i for mono in spec for i in mono)
-    table = cover_table(m, n)
-    base_images = []
-    for i in range(1, n + 1):
-        if i <= m:
-            base_images.append(LaurentPolynomial.variable(table, "s%d" % i) ** 2)
-        else:
-            base_images.append(LaurentPolynomial.variable(table, "t%d" % i))
+    table = cover_table(m)
+    base_images = tuple(
+        LaurentPolynomial.variable(table, "s%d" % i) ** 2 for i in range(1, m + 1)
+    )
     proj_images = []
     for letter, mono in zip(LETTERS, spec):
         exps = {"s%d" % i: 1 for i in mono}
@@ -120,8 +113,7 @@ def cover_map(entry, n=None):
     return CoverMap(
         entry=entry,
         m=m,
-        n=n,
-        base_images=tuple(base_images),
+        base_images=base_images,
         proj_images=tuple(proj_images),
     )
 
@@ -137,13 +129,13 @@ def base_quadric(table):
 
 def pullback_factorization(cover):
     """Factor the pulled-back equation of normal form ``cover.entry`` over
-    dimension ``cover.n`` as ``monomial * residual``.
+    dimension ``cover.m`` as ``monomial * residual``.
 
     The residual must be exactly ``A^2 - B^2 + C^2 - D^2`` and the monomial a
     square monomial in the ``s_i`` with coefficient 1; anything else raises
     :class:`FactorizationError`.
     """
-    bundle = normal_form(cover.entry, cover.n)
+    bundle = normal_form(cover.entry, cover.m)
     pulled = cover.homomorphism()(bundle.equation())
     table = cover.table
     a_index = table.index("A")
@@ -323,7 +315,7 @@ def generic_fiber_inverse(cover):
     with the map must fix (A:B:C:D) up to a common unit monomial factor.
     """
     table = inverse_table(cover.m)
-    localized = cover_table(cover.m, cover.n, localized=True)
+    localized = cover_table(cover.m, localized=True)
     inverse_images = []
     for target, img in zip(PROJECTIVE_NAMES, cover.proj_images):
         (exps, coeff), = img.terms.items()

@@ -160,6 +160,17 @@ def _random_place(rng):
     return brauer.Place.prime(ORACLE_PRIMES[choice - 1])
 
 
+def descent_verdict(report):
+    """The verdict fields of every descent report: similarity and its scale,
+    splitting over Q(sqrt(d)), and consistency."""
+    return {
+        "similar": report.similar,
+        "scale": report.scale,
+        "splits_over_extension": report.splits_over_extension,
+        "consistent": report.consistent,
+    }
+
+
 def run_brauer(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     items = []
@@ -230,11 +241,8 @@ def run_brauer(seed=DEFAULT_SEED):
                 "q": q,
                 "r": r,
                 "d": d,
-                "similar": report.similar,
-                "scale": report.scale,
-                "splits_over_extension": report.splits_over_extension,
+                **descent_verdict(report),
                 "hypothesis_division_split": report.hypothesis_division_split,
-                "consistent": report.consistent,
             }
         )
     failures += inconsistent
@@ -256,10 +264,7 @@ def run_brauer(seed=DEFAULT_SEED):
         "d": 2,
         "isotropy_form": str(worked.isotropy_form),
         "albert_pair_form": str(worked.albert_pair_form),
-        "similar": worked.similar,
-        "scale": worked.scale,
-        "splits_over_extension": worked.splits_over_extension,
-        "consistent": worked.consistent,
+        **descent_verdict(worked),
     }
     if not worked.consistent:
         failures += 1
@@ -288,8 +293,7 @@ def _witness_payload(report):
 
 def run_appendix(window=biforms.MIN_WINDOW):
     items = []
-    failures = 0
-    attention = False
+    statuses = []
 
     containment = biforms.verify_containment()
     items.append(
@@ -307,8 +311,7 @@ def run_appendix(window=biforms.MIN_WINDOW):
             ],
         }
     )
-    if not containment.passed:
-        failures += 1
+    statuses.append("pass" if containment.passed else "fail")
 
     freeness = biforms.freeness_certificate()
     items.append(
@@ -318,8 +321,7 @@ def run_appendix(window=biforms.MIN_WINDOW):
             "determinant": str(freeness.det),
         }
     )
-    if not freeness.passed:
-        failures += 1
+    statuses.append("pass" if freeness.passed else "fail")
 
     graded = biforms.verify_graded_intersection(window)
     items.append(
@@ -334,8 +336,7 @@ def run_appendix(window=biforms.MIN_WINDOW):
             ],
         }
     )
-    if not graded.passed:
-        failures += 1
+    statuses.append("pass" if graded.passed else "fail")
 
     exponent_reports = {
         e: biforms.nonflatness_witness(biforms.witness_curve(e))
@@ -343,7 +344,6 @@ def run_appendix(window=biforms.MIN_WINDOW):
     }
     passing = [e for e, rep in exponent_reports.items() if rep.passed]
     if passing == [-2]:
-        attention = True
         chosen = -2
         note = (
             "identities hold for gamma exponent -2 only; the exponent -1"
@@ -351,18 +351,15 @@ def run_appendix(window=biforms.MIN_WINDOW):
             " probable transcription error"
         )
     elif passing == [-1]:
-        failures += 1
         chosen = -1
         note = (
             "identities hold for gamma exponent -1 only, contradicting the"
             " hand-derivation oracle; refusing to pass until reconciled"
         )
     elif not passing:
-        failures += 1
         chosen = None
         note = "no gamma exponent satisfies the identities"
     else:
-        failures += 1
         chosen = None
         note = (
             "both gamma exponents satisfy the identities, contradicting"
@@ -380,16 +377,11 @@ def run_appendix(window=biforms.MIN_WINDOW):
             "note": note,
         }
     )
+    statuses.append("attention" if chosen == -2 else "fail")
 
-    if failures:
-        status = "fail"
-    elif attention:
-        status = "attention"
-    else:
-        status = "pass"
     return {
         "suite": "appendix",
-        "status": status,
+        "status": aggregate_status(statuses),
         "window": window,
         "items": items,
     }

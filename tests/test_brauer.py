@@ -24,7 +24,6 @@ from quadricbundles.brauer import (
     RationalQuadraticForm,
     _factor,
     _integer_root,
-    _is_prime,
     _solubility_search,
     _trial_divisors,
     albert_form,
@@ -854,6 +853,17 @@ PRIME_25 = (10**24 + 7, 3 * 10**24 + 7)
 SEMIPRIME = PRIME_25[0] * PRIME_25[1]
 
 
+def is_prime_place(n):
+    """Whether ``Place(n)`` is built, rather than refused as not prime."""
+    try:
+        Place(n)
+    except FactorizationBoundError:
+        raise
+    except ValueError:
+        return False
+    return True
+
+
 def eratosthenes(limit):
     """The primes below ``limit``, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * limit
@@ -866,7 +876,7 @@ def eratosthenes(limit):
 
 class TestFactorizer:
     def test_is_prime_matches_the_sieve(self):
-        assert [n for n in range(10**4) if _is_prime(n)] == eratosthenes(10**4)
+        assert [n for n in range(10**4) if is_prime_place(n)] == eratosthenes(10**4)
 
     def test_wheel_holds_every_prime_below_the_limit(self):
         wheel = list(_trial_divisors())
@@ -886,7 +896,7 @@ class TestFactorizer:
         # smallest prime factor the top prime, then a cofactor past the bound
         assert _factor(top**3) == ((top, 3),)
         assert _factor(top * PRIME_20) == ((top, 1), (PRIME_20, 1))
-        assert not _is_prime(top**2) and not _is_prime(top * above)
+        assert not is_prime_place(top**2) and not is_prime_place(top * above)
 
     def test_round_trip(self):
         rng = random.Random(62)
@@ -1006,12 +1016,13 @@ class TestFactorizer:
         # with no certificate, such as the semiprime, is past the bound
         for n in (PRIME_20**2, 10000000019**3, PRIME_25[0] ** 2):
             assert n >= MILLER_RABIN_LIMIT
-            assert not _is_prime(n)
             with pytest.raises(ValueError, match="not prime") as raised:
                 Place.prime(n)
             assert type(raised.value) is ValueError
-        with pytest.raises(FactorizationBoundError):
-            _is_prime(SEMIPRIME)
+        # a small factor does not decide primality: the cofactor is factored too
+        for n in (SEMIPRIME, 3 * SEMIPRIME):
+            with pytest.raises(FactorizationBoundError, match=str(n)):
+                Place(n)
 
     def test_a_failed_prime_place_is_not_cached(self):
         cached = brauer._prime_place.cache_info().currsize
@@ -1402,5 +1413,9 @@ class TestIntegerReader:
         for _ in range(50):
             values = [random_rational(rng, 10**6, 50) for _ in range(2)]
             calls.clear()
+            places_before = brauer._prime_place.cache_info().currsize
             relevant_places(values)
-            assert len(calls) == 2
+            # one call per value, plus one primality check per place first built
+            new_places = brauer._prime_place.cache_info().currsize - places_before
+            assert len(calls) == 2 + new_places
+            assert [abs(brauer._class_int(v)) for v in values] == calls[:2]

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quadricbundles import brauer, bundles, cli, reports
+from quadricbundles import biforms, brauer, bundles, cli, reports
 from quadricbundles.cli import main
 
 #: Product of the 25-digit primes 10^24 + 7 and 3*10^24 + 7.
@@ -87,6 +88,8 @@ ITEM_DIGESTS = {
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: The benchmark's pinned report digests, read as data.
+PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
 
 
 def readme_flags(text):
@@ -166,6 +169,12 @@ class TestExitCodes:
     def test_attention_suite_exits_zero(self, capsys):
         assert main(["run", "appendix"]) == 0
         assert "attention" in capsys.readouterr().out
+
+    def test_a_failed_appendix_check_outranks_the_attention_note(self, monkeypatch, capsys):
+        failed = biforms.ContainmentReport(passed=False, certificates=())
+        monkeypatch.setattr(biforms, "verify_containment", lambda: failed)
+        assert main(["run", "appendix"]) == 1
+        assert "appendix: fail" in capsys.readouterr().out
 
     def test_forced_printed_exponent_fails(self):
         # the exponent cannot be pinned: the appendix always tests both, and
@@ -291,6 +300,15 @@ class TestSingleCommands:
             "3cc6ec7b365580543c09e3a98d0914b5cea38931f0a06915c7710c12cf2ff40f"
         )
 
+    def test_run_all_matches_every_benchmark_pin(self, monkeypatch):
+        # the appendix reads no seed and is pinned on its own above
+        monkeypatch.setattr(reports, "run_appendix", functools.cache(reports.run_appendix))
+        pins = json.loads(PINS.read_text())["cli-cold"]
+        assert sorted(map(int, pins)) == list(range(21))
+        for seed, pin in pins.items():
+            text = json.dumps(reports.run_all(int(seed)), indent=2, sort_keys=True) + "\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == pin, seed
+
     def test_large_window_runs(self, tmp_path, capsys):
         path = tmp_path / "appendix.json"
         assert main(["run", "appendix", "--window", "40", "--json", str(path)]) == 0
@@ -317,9 +335,12 @@ class TestSingleCommands:
         assert "search oracle" in result.stderr
 
     def test_brauer_hilbert_place_past_factorization_bound(self):
-        result = run_cli("brauer", "hilbert", "--a", "2", "--b", "3", "--place", SEMIPRIME)
-        assert result.returncode == 2
-        assert "factorization bound" in result.stderr
+        # a small factor does not make the place "not prime": its cofactor is
+        # past the bound too
+        for place in (SEMIPRIME, str(3 * int(SEMIPRIME))):
+            result = run_cli("brauer", "hilbert", "--a", "2", "--b", "3", "--place", place)
+            assert result.returncode == 2
+            assert "%s is past the factorization bound" % place in result.stderr
 
     def test_brauer_hilbert_prime_power_place_is_not_prime(self):
         # the square of a 20-digit prime, past Miller-Rabin's exact range, gets
@@ -509,6 +530,19 @@ class TestReports:
         assert "is a directory" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", [("run", "all"), HILBERT + ("--a", "2", "--b", "3", "--place", "5")])
+    @pytest.mark.parametrize("name", ["", "x" * 300 + ".json"], ids=["empty", "too-long"])
+    def test_json_path_the_system_refuses_fails_before_any_suite(self, tmp_path, command, name):
+        path = str(tmp_path / name) if name else name
+        started = time.perf_counter()
+        result = run_cli(*command, "--json", path)
+        assert time.perf_counter() - started < 1.0
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "argument --json: cannot write %r" % path in result.stderr.splitlines()[-1]
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -29,16 +29,13 @@ from quadricbundles.rings import (
 )
 
 
-def trivial_cover(n):
+def trivial_cover():
     """The trivial cover (entry 1): no doubled coordinates, letters fixed."""
-    table = cover_table(0, n)
+    table = cover_table(0)
     return CoverMap(
         entry=1,
         m=0,
-        n=n,
-        base_images=tuple(
-            LaurentPolynomial.variable(table, "t%d" % i) for i in range(1, n + 1)
-        ),
+        base_images=(),
         proj_images=tuple(
             LaurentPolynomial.variable(table, x) for x in ("A", "B", "C", "D")
         ),
@@ -122,10 +119,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cover_map(1)
 
-    def test_dimension_below_the_minimum(self):
-        with pytest.raises(ValueError, match="entry 8 needs base dimension >= 3, got 2"):
-            cover_map(8, 2)
-
     @pytest.mark.parametrize(
         "entry,m", [(2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (7, 3), (8, 3)]
     )
@@ -140,12 +133,6 @@ class TestConstruction:
         for c in b.coeffs:
             present |= c.variables()
         assert cm.m == len(present)
-
-    def test_larger_base(self):
-        cm = cover_map(2, 4)
-        assert cm.n == 4
-        assert len(cm.base_images) == 4
-        assert cm.base_images[3] == parse("t4", cm.table)
 
 
 class TestPullback:
@@ -172,7 +159,6 @@ class TestPullback:
         bad = CoverMap(
             entry=2,
             m=1,
-            n=1,
             base_images=good.base_images,
             proj_images=(parse("A", t), parse("s1*B", t), parse("C", t), parse("s1*D", t)),
         )
@@ -197,7 +183,7 @@ class TestSignAction:
         assert gen.rescale == 1
 
     def test_identity_map_gives_trivial_character(self):
-        assert infer_sign_action(trivial_cover(1)) == ()
+        assert infer_sign_action(trivial_cover()) == ()
 
     @pytest.mark.parametrize("entry", range(2, 9))
     def test_signs_solve_the_rescaling_system(self, entry):
@@ -257,7 +243,7 @@ class TestGeneratorSubstitution:
         cm = cover_map(4)
         act = _generator_substitution(cm, 1, (1, 1, -1, -1))
         with pytest.raises(TableMismatchError):
-            act(parse("s1", cover_table(2, 3)))
+            act(parse("s1", cover_table(3)))
         with pytest.raises(ValueError):
             _generator_substitution(cm, 1, (1, 2, 1, 1))
 
@@ -286,7 +272,7 @@ class TestInverse:
         assert inv.verified
 
     def test_identity_inverse(self):
-        inv = generic_fiber_inverse(trivial_cover(1))
+        inv = generic_fiber_inverse(trivial_cover())
         t = inverse_table(0)
         assert inv.images == (parse("K", t), parse("L", t), parse("M", t), parse("N", t))
         assert inv.verified
@@ -296,7 +282,7 @@ class TestInverse:
         cm = cover_map(entry)
         inv = generic_fiber_inverse(cm)
         assert inv.verified
-        localized = cover_table(cm.m, cm.n, localized=True)
+        localized = cover_table(cm.m, localized=True)
         assert inv.composition == tuple(
             parse(x, localized) for x in ("A", "B", "C", "D")
         )
