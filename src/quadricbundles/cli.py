@@ -71,7 +71,8 @@ def _integer(low=None, high=None):
 _any_integer = _integer()
 #: ``--window``: the graded check needs the floor and is constant-time above.
 _window = _integer(biforms.MIN_WINDOW)
-#: ``--dim``: every normal-form computation is linear in the dimension.
+#: ``--dim``: a label on the form built at its minimal dimension
+#: (``reports.normal_form_item``), so every legal value costs the same.
 _dim = _integer(0, bundles.MAX_DIMENSION)
 
 

@@ -135,7 +135,7 @@ def pullback_factorization(cover):
     square monomial in the ``s_i`` with coefficient 1; anything else raises
     :class:`FactorizationError`.
     """
-    bundle = normal_form(cover.entry, cover.m)
+    bundle = normal_form(cover.entry)
     pulled = cover.homomorphism()(bundle.equation())
     table = cover.table
     a_index = table.index("A")

@@ -46,7 +46,18 @@ def _variable_indices(bundle):
 
 
 def normal_form_item(entry, dim=None):
-    bundle = bundles.normal_form(entry, dim)
+    """Report of normal form ``entry`` over A^dim, by default over A^m,
+    m = ``bundles.MIN_DIMENSION[entry]``.
+
+    Base-change lemma: the coefficients use only t_1..t_m;
+    ``LaurentPolynomial.__str__`` prints no zero exponent; the strata run over
+    the variables that occur.  So equation, coefficients, both discriminants,
+    certificate and strata are the same at every dim >= m, and the item is
+    computed at m with ``dim`` checked and written as a label.
+    """
+    bundle = bundles.normal_form(entry)
+    dim = bundle.n if dim is None else dim
+    bundles.check_dimension(entry, dim)
     certificate = bundles.flatness_certificate(bundle)
     strata = []
     indices = _variable_indices(bundle)
@@ -60,7 +71,7 @@ def normal_form_item(entry, dim=None):
             )
     return {
         "entry": entry,
-        "dim": bundle.n,
+        "dim": dim,
         "equation": str(bundle.equation()),
         "coefficients": [str(c) for c in bundle.coeffs],
         "discriminant": str(bundles.discriminant(bundle)),
@@ -74,21 +85,23 @@ def normal_form_item(entry, dim=None):
     }
 
 
-def run_normal_forms(entry=None, dim=None):
-    entries = [entry] if entry is not None else ENTRIES["normal-forms"]
+def _run_entries(suite, entry, item_of, errors):
+    """Items of ``suite`` for each of its entries, or for ``entry`` alone.  An
+    entry fails when ``item_of`` raises one of ``errors``, or when a check of
+    its item reads ``"fail"``."""
     items = []
-    failures = 0
-    for k in entries:
+    for k in ENTRIES[suite] if entry is None else [entry]:
         try:
-            items.append(normal_form_item(k, dim))
-        except (bundles.NoUnitCoefficientError, ValueError) as exc:
-            failures += 1
+            items.append(item_of(k))
+        except errors as exc:
             items.append({"entry": k, "error": str(exc)})
-    return {
-        "suite": "normal-forms",
-        "status": "fail" if failures else "pass",
-        "items": items,
-    }
+    failures = sum("error" in item or "fail" in item.values() for item in items)
+    return {"suite": suite, "status": "fail" if failures else "pass", "items": items}
+
+
+def run_normal_forms(entry=None, dim=None):
+    errors = (bundles.NoUnitCoefficientError, ValueError)
+    return _run_entries("normal-forms", entry, lambda k: normal_form_item(k, dim), errors)
 
 
 # -- cover maps ---------------------------------------------------------------
@@ -124,24 +137,8 @@ def section5_item(entry):
 
 
 def run_section5(entry=None):
-    entries = [entry] if entry is not None else ENTRIES["section5"]
-    items = []
-    failures = 0
-    for k in entries:
-        try:
-            item = section5_item(k)
-        except (covers.CoverMapError, ValueError) as exc:
-            failures += 1
-            items.append({"entry": k, "error": str(exc)})
-            continue
-        if item["equivariance"] != "pass" or item["inverse"] != "pass":
-            failures += 1
-        items.append(item)
-    return {
-        "suite": "section5",
-        "status": "fail" if failures else "pass",
-        "items": items,
-    }
+    errors = (covers.CoverMapError, ValueError)
+    return _run_entries("section5", entry, section5_item, errors)
 
 
 # -- brauer arithmetic --------------------------------------------------------

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from quadricbundles import reports
 from quadricbundles.bundles import (
     MIN_DIMENSION,
     NoUnitCoefficientError,
     DiagonalQuadricBundle,
     base_table,
     NORMAL_FORMS,
+    check_dimension,
     discriminant,
     equation_table,
     flatness_certificate,
@@ -39,6 +41,43 @@ EXPECTED_SQUARE_CLASSES = {
     7: "t1",
     8: "t1",
 }
+
+
+def wide_normal_form(entry, n):
+    """The ``entry``-th normal form built over all of ``k[t_1..t_n]``: the
+    reference for the base-change lemma of ``reports.normal_form_item``."""
+    check_dimension(entry, n)
+    table = base_table(n)
+    coeffs = tuple(
+        LaurentPolynomial.monomial(table, {"t%d" % i: 1 for i in indices}, sign)
+        for sign, indices in NORMAL_FORMS[entry]
+    )
+    return DiagonalQuadricBundle(n=n, coeffs=coeffs)
+
+
+def wide_item(entry, n):
+    """The report item read off the bundle over ``k[t_1..t_n]``."""
+    bundle = wide_normal_form(entry, n)
+    certificate = flatness_certificate(bundle)
+    present = sorted({int(name[1:]) for c in bundle.coeffs for name in c.variables()})
+    return {
+        "entry": entry,
+        "dim": bundle.n,
+        "equation": str(bundle.equation()),
+        "coefficients": [str(c) for c in bundle.coeffs],
+        "discriminant": str(discriminant(bundle)),
+        "discriminant_square_class": str(discriminant(bundle, square_class=True)),
+        "certificate": {
+            "kind": certificate.kind,
+            "index": certificate.index,
+            "value": str(certificate.value),
+        },
+        "strata": [
+            {"zeroset": list(zeroset), "rank": gram_rank_on_stratum(bundle, set(zeroset))}
+            for size in range(len(present) + 1)
+            for zeroset in itertools.combinations(present, size)
+        ],
+    }
 
 
 def product_oracle(bundle):
@@ -87,12 +126,12 @@ def entry_dimensions():
 class TestAgainstHomomorphismOracles:
     @pytest.mark.parametrize("entry,n", entry_dimensions())
     def test_equation(self, entry, n):
-        bundle = normal_form(entry, n)
+        bundle = wide_normal_form(entry, n)
         assert bundle.equation() == embed_equation_oracle(bundle)
 
     @pytest.mark.parametrize("entry,n", entry_dimensions())
     def test_rank_on_every_stratum(self, entry, n):
-        bundle = normal_form(entry, n)
+        bundle = wide_normal_form(entry, n)
         indices = range(1, n + 1)
         for size in range(n + 1):
             for zeroset in itertools.combinations(indices, size):
@@ -125,24 +164,62 @@ class TestConstruction:
     def test_minimal_dimension_enforced(self, entry):
         minimum = MIN_DIMENSION[entry]
         assert normal_form(entry).n == minimum
+        assert reports.normal_form_item(entry)["dim"] == minimum
         if minimum > 0:
             with pytest.raises(ValueError):
-                normal_form(entry, minimum - 1)
+                reports.normal_form_item(entry, minimum - 1)
+            with pytest.raises(ValueError):
+                wide_normal_form(entry, minimum - 1)
 
     def test_entry_4_needs_two_variables(self):
         with pytest.raises(ValueError):
-            normal_form(4, 1)
+            check_dimension(4, 1)
+        with pytest.raises(ValueError):
+            reports.normal_form_item(4, 1)
+        assert normal_form(4).coeffs[0] == parse("t1*t2", base_table(2))
 
     def test_larger_base_allowed(self):
-        b = normal_form(2, 5)
+        item = reports.normal_form_item(2, 5)
+        assert item["dim"] == 5
+        assert item["coefficients"][0] == "t1"
+        b = wide_normal_form(2, 5)
         assert b.n == 5
         assert b.coeffs[0] == parse("t1", base_table(5))
+
+    @pytest.mark.parametrize("dim", [3.0, 3.5, Fraction(3), "3"])
+    def test_non_integer_dimension_is_refused(self, dim):
+        # refused with a TypeError, never written as a label
+        with pytest.raises(TypeError):
+            reports.normal_form_item(1, dim)
+        with pytest.raises(TypeError):
+            reports.run_normal_forms(dim=dim)
 
     def test_bad_entry(self):
         with pytest.raises(ValueError):
             normal_form(0)
         with pytest.raises(ValueError):
             normal_form(9)
+
+
+class TestBaseChange:
+    """``normal_form_item`` builds the form at its minimal dimension m and
+    writes ``dim`` as a label; every other field must be what the bundle
+    over ``k[t_1..t_n]`` gives."""
+
+    @pytest.mark.parametrize("entry", sorted(NORMAL_FORMS))
+    def test_minimal_dimension_is_the_largest_index(self, entry):
+        # the premise of the lemma: no coefficient uses a variable past m
+        indices = [i for _, support in NORMAL_FORMS[entry] for i in support]
+        assert MIN_DIMENSION[entry] == max(indices, default=0)
+
+    @pytest.mark.parametrize("entry", sorted(NORMAL_FORMS))
+    def test_item_equals_the_wide_bundle(self, entry):
+        m = MIN_DIMENSION[entry]
+        for n in [*range(m, m + 4), 100, 1000]:
+            assert reports.normal_form_item(entry, n) == wide_item(entry, n)
+
+    def test_item_at_the_command_line_bound(self):
+        assert reports.normal_form_item(8, 10**4) == wide_item(8, 10**4)
 
 
 class TestDiscriminant:

@@ -224,7 +224,7 @@ class TestExitCodes:
         assert result.returncode == 2
         assert run_cli("run", "normal-forms", "--dim", too_big).returncode == 2
 
-    def test_dim_at_the_bound_is_linear(self, tmp_path):
+    def test_dim_at_the_bound_runs_in_bounded_time(self, tmp_path):
         dim = str(bundles.MAX_DIMENSION)
         path = tmp_path / "entry.json"
         started = time.perf_counter()
@@ -236,6 +236,24 @@ class TestExitCodes:
         result = run_cli("run", "normal-forms", "--dim", dim)
         assert time.perf_counter() - started < 2.0
         assert result.returncode == 0
+
+    def test_dim_builds_no_table_past_the_minimal_dimensions(self, monkeypatch, capsys):
+        # a work budget with no clock: --dim labels the forms built at their
+        # minimal dimensions, so no base or equation table is wider than 3
+        widths = []
+        for name in ("base_table", "equation_table"):
+            def record(n, build=getattr(bundles, name)):
+                widths.append(n)
+                return build(n)
+
+            monkeypatch.setattr(bundles, name, record)
+        assert main(["run", "normal-forms", "--dim", str(bundles.MAX_DIMENSION)]) == 0
+        capsys.readouterr()
+        assert widths and max(widths) <= 3
+        report = reports.run_suite("normal-forms", dim=10**6)
+        assert report["status"] == "pass"
+        assert [item["dim"] for item in report["items"]] == [10**6] * 8
+        assert max(widths) <= 3
 
     def test_dim_below_the_minimum_is_a_usage_error(self):
         for argv in (("--dim", "0"), ("--entry", "8", "--dim", "2")):

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from quadricbundles import covers, reports
 from quadricbundles.bundles import normal_form
 from quadricbundles.covers import (
     LETTERS,
@@ -286,3 +287,19 @@ class TestInverse:
         assert inv.composition == tuple(
             parse(x, localized) for x in ("A", "B", "C", "D")
         )
+
+
+class TestSuiteStatus:
+    """A section5 item whose equivariance or inverse check fails fails the
+    suite, though the item is still reported in full."""
+
+    @pytest.mark.parametrize(
+        "check,field",
+        [("verify_projective_equivariance", "passed"), ("generic_fiber_inverse", "verified")],
+    )
+    def test_a_failed_check_fails_the_suite(self, check, field, monkeypatch):
+        real = getattr(covers, check)
+        monkeypatch.setattr(covers, check, lambda *args: replace(real(*args), **{field: False}))
+        report = reports.run_section5(entry=4)
+        assert report["status"] == "fail"
+        assert "error" not in report["items"][0]
