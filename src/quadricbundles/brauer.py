@@ -14,14 +14,17 @@ factoring, and the symbol formula is cached on the reduced classes.  No local
 path does ``Fraction`` arithmetic.
 
 *Search oracle.*  ``hilbert_symbol_search`` is an independent check of the
-formula: it reduces ``a`` and ``b`` to ``p^(v mod 2) * u`` modulo ``p^3``
+formula: it reduces ``a`` and ``b`` to ``p^(v mod 2) * u`` modulo ``p^2``
 (``2^6`` at p = 2) and searches for a primitive solution of
-``z^2 = a x^2 + b y^2``, which for such coefficients lifts p-adically by
-Hensel's lemma.  A primitive solution has x or y a unit, and dividing by the
-square of that unit sets it to 1, so the search runs over one variable: is
-``a + b*y^2`` or ``a*y^2 + b`` a square?  That is O(p^3) work per pair.  The
-table of squares modulo ``m`` is built from ``x <= m/2`` alone, since ``x``
-and ``m - x`` have the same square.  The oracle refuses primes above
+``z^2 = a x^2 + b y^2``.  At odd p a solution modulo ``p^2`` with x or y a
+unit lifts p-adically by Hensel's lemma (``_solubility_search`` gives the
+case analysis), while modulo p every pair with ``a = b = 0 (mod p)`` would
+pass.  A primitive solution has x or y a unit, and dividing by the square of
+that unit sets it to 1, so the search runs over one variable: is
+``a + b*y^2`` or ``a*y^2 + b`` a square?  The table of squares modulo ``m``
+is built from ``x <= m/2`` alone, since ``x`` and ``m - x`` have the same
+square; modulo ``p^2`` it has ``p(p-1)/2 + 1`` entries, so the search is
+O(p^2) work per pair.  The oracle refuses primes above
 ``SEARCH_PRIME_LIMIT``.
 
 *Global paths.*  The prime support of a value (relevant places,
@@ -41,8 +44,10 @@ quaternion pairs.  Quaternion classes and forms reduce each entry once to its
 square class, a signed squarefree integer, and read every invariant off those:
 classes ``s`` and ``t`` multiply to ``s*t / gcd(s, t)^2``, and the places of
 the Hasse map are the primes of the classes; a product of classes records
-its primes for ``_factor``.  Similarity is decided in even dimension ``n``
-with discriminant ``(-1)^(n(n-1)/2)``, where
+its primes for ``_factor``.  The quaternion descent reduces d, p, q and r
+once, builds both of its forms on the classes it holds, and fills their
+Hasse maps over one shared list of places.  Similarity is decided in even
+dimension ``n`` with discriminant ``(-1)^(n(n-1)/2)``, where
 ``s_v(c*f) = s_v(f) * (c, (-1)^(n(n-1)/2) d(f)^(n-1))_v`` (Lam,
 *Introduction to Quadratic Forms over Fields*, Ch. V) moves no Hasse
 invariant: only the sign of ``c`` acts.
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, log2, prod
 
 #: Trial division uses 2, 3 and each 6k +- 1, so every prime, below this bound.
@@ -60,7 +65,8 @@ TRIAL_DIVISION_LIMIT = 10**5
 #: Miller-Rabin with the first 13 prime bases is exact below this integer.
 MILLER_RABIN_LIMIT = 3317044064679887385961981
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-#: Largest prime the search oracle accepts: it scans p^3 residues.
+#: Largest prime the search oracle accepts: it scans the p(p-1)/2 + 1 squares
+#: modulo p^2 (the bound of 53 dates from the p^3 scan and is kept).
 SEARCH_PRIME_LIMIT = 53
 
 
@@ -195,6 +201,10 @@ class Place:
     #: ``Place.prime(p)``: the one shared place of the prime ``p``.
     prime = staticmethod(_prime_place)
 
+    def __hash__(self):
+        # equal places have equal p; the generated hash builds a tuple first
+        return hash(self.p)
+
     def __str__(self):
         return "real" if self.p is None else str(self.p)
 
@@ -237,12 +247,12 @@ def _squarefree_int(n):
 
 def _class_product(s, t):
     """Square class of ``s*t`` for signed squarefree integers ``s`` and ``t``;
-    its primes, those of exactly one of them, are recorded for ``_factor``, so
-    a class built from factored classes is never trial-divided."""
+    its factors ``(p, 1)``, those of exactly one of them, are recorded for
+    ``_factor``, so a class built from factored classes is never trial-divided."""
     u = s * t // gcd(s, t) ** 2
     if abs(u) not in _factorizations:
-        primes = {p for p, _ in _factor(abs(s))} ^ {p for p, _ in _factor(abs(t))}
-        _factorizations[abs(u)] = tuple((p, 1) for p in sorted(primes))
+        factors = set(_factor(abs(s))).symmetric_difference(_factor(abs(t)))
+        _factorizations[abs(u)] = tuple(sorted(factors))
     return u
 
 
@@ -258,9 +268,11 @@ def relevant_places(values):
     """
     primes = set()
     for value in values:
-        primes.update(p for p, e in _factor(abs(_class_int(value))) if e % 2)
+        for p, e in _factor(abs(_class_int(value))):
+            if e % 2:
+                primes.add(p)
     primes.discard(2)
-    return [REAL, Place.prime(2)] + [Place.prime(p) for p in sorted(primes)]
+    return [REAL, Place.prime(2), *map(Place.prime, sorted(primes))]
 
 
 def _legendre(a, p):
@@ -311,7 +323,7 @@ def hilbert_symbol(a, b, place):
 
 
 def _search_modulus(p):
-    return 64 if p == 2 else p ** 3
+    return 64 if p == 2 else p * p
 
 
 @lru_cache(maxsize=None)
@@ -322,12 +334,28 @@ def _squares_mod(modulus):
 
 @lru_cache(maxsize=None)
 def _solubility_search(a, b, p):
-    """1 if ``z^2 = a x^2 + b y^2`` has a solution modulo ``p^3`` (``2^6``)
-    with x or y a unit, else -1.
+    """1 if ``z^2 = a x^2 + b y^2`` has a solution modulo ``p^2`` (``2^6`` at
+    p = 2) with x or y a unit, else -1.
 
     Dividing such a solution by the square of its unit coordinate sets that
     coordinate to 1, so it suffices that ``a + b*s`` or ``a*s + b`` is a
     square for some square ``s`` (the square of the other coordinate).
+
+    At odd p, ``p^2`` suffices.  Let ``a = p^alpha u`` and ``b = p^beta w``
+    with alpha, beta in {0, 1} and u, w units.  A p-adic solution with x, y, z
+    not all divisible by p has x or y a unit (else p divides z), so it
+    reduces to one the search finds.  Conversely a solution modulo ``p^2``
+    with x or y a unit lifts by Hensel's lemma (Serre, Ch. II):
+
+    - if z is a unit, lift in z;
+    - if p | z and the unit coordinate's coefficient is a unit, lift in that
+      coordinate;
+    - if alpha = beta = 1, put z = p z'; the solution gives
+      ``u x^2 + w y^2 = 0 (mod p)``, so lift ``u x^2 + w y^2 = p z'^2`` in
+      the unit coordinate;
+    - if alpha = 1, beta = 0, p | z, x is a unit and p | y, then
+      ``p u x^2 = 0 (mod p^2)``, which is impossible, so the search never
+      finds such a solution (likewise with the roles of a and b swapped).
     """
     modulus = _search_modulus(p)
     squares = _squares_mod(modulus)
@@ -341,9 +369,10 @@ def hilbert_symbol_search(a, b, place):
     """Brute-force oracle for the Hilbert symbol.
 
     Finite places: exhaustive search for a primitive solution of
-    ``z^2 = a x^2 + b y^2`` modulo ``p^3`` (odd ``p``) or ``2^6``, with ``a``
+    ``z^2 = a x^2 + b y^2`` modulo ``p^2`` (odd ``p``) or ``2^6``, with ``a``
     and ``b`` reduced to ``p^(v mod 2)`` times a unit; for such coefficients
-    any solution lifts p-adically and any p-adic solution reduces to one.
+    any solution with x or y a unit lifts p-adically (``_solubility_search``
+    gives the argument) and any p-adic solution reduces to one.
     Primes above ``SEARCH_PRIME_LIMIT`` are refused.  The real place is
     settled by signs alone.
     """
@@ -385,25 +414,26 @@ def is_local_square(x, place):
 # -- quaternion classes ------------------------------------------------------
 
 def _validate_quadratic_d(d):
-    as_fraction = Fraction(d)
-    if as_fraction.denominator != 1 or as_fraction == 0:
-        raise ValueError("d must be a squarefree nonsquare integer, got %r" % (d,))
-    d = int(as_fraction)
-    if d == 1 or _squarefree_int(d) != d:
+    if type(d) is not int:
+        as_fraction = Fraction(d)
+        if as_fraction.denominator != 1 or as_fraction == 0:
+            raise ValueError("d must be a squarefree nonsquare integer, got %r" % (d,))
+        d = int(as_fraction)
+    if d == 0 or d == 1 or _squarefree_int(d) != d:
         raise ValueError("d must be a squarefree nonsquare integer, got %r" % (d,))
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuaternionClass:
     """Brauer class over Q of the quaternion algebra ``(a, b)``."""
 
     a: int | Fraction
     b: int | Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_nonzero_rational(self.a, "a"))
-        object.__setattr__(self, "b", _as_nonzero_rational(self.b, "b"))
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", _as_nonzero_rational(a, "a"))
+        object.__setattr__(self, "b", _as_nonzero_rational(b, "b"))
 
     @cached_property
     def classes(self):
@@ -445,57 +475,79 @@ def res_cor_doubling_check(beta, d):
 
 # -- rational quadratic forms ------------------------------------------------
 
-@dataclass(frozen=True)
+class _SquareClasses(tuple):
+    """A nonempty diagonal of signed squarefree integers, each its own square
+    class: the forms the descent builds from classes it holds."""
+
+
+@dataclass(frozen=True, init=False)
 class RationalQuadraticForm:
     """Nondegenerate diagonal quadratic form over Q.
 
     Construction reads each entry once: ``classes`` holds the entries' square
-    classes, signed squarefree integers, ``signature`` the counts of positive
-    and negative entries, and ``disc`` the discriminant's class, the product
-    of the classes.  The Hasse map ``hasse`` is built on first use.
+    classes, signed squarefree integers, ``dim`` their number, ``signature``
+    the counts of positive and negative entries, and ``disc`` the
+    discriminant's class, the product of the classes.  The Hasse map
+    ``hasse`` is built on first use.  Raw entries are validated and reduced;
+    a diagonal given as ``_SquareClasses`` is taken as its own classes, with
+    nothing reduced again.
     """
 
     diag: tuple
 
-    def __post_init__(self):
-        entries = tuple(_as_nonzero_rational(x, "diagonal entry") for x in self.diag)
-        if not entries:
-            raise ValueError("a form needs at least one diagonal entry")
-        classes = tuple([_squarefree_int(_class_int(x)) for x in entries])
-        pos = sum(1 for s in classes if s > 0)
+    def __init__(self, diag):
+        if type(diag) is _SquareClasses:
+            classes = entries = tuple(diag)
+        else:
+            entries = tuple(_as_nonzero_rational(x, "diagonal entry") for x in diag)
+            if not entries:
+                raise ValueError("a form needs at least one diagonal entry")
+            classes = tuple([squarefree_part(x) for x in entries])
+        pos, disc = 0, 1
+        for s in classes:
+            pos += s > 0
+            # classes s and t multiply to s*t / gcd(s, t)^2
+            disc = disc * s // gcd(disc, s) ** 2
         object.__setattr__(self, "diag", entries)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "signature", (pos, len(entries) - pos))
-        object.__setattr__(self, "disc", reduce(_class_product, classes))
-
-    @property
-    def dim(self):
-        return len(self.diag)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "dim", len(entries))
 
     @cached_property
     def hasse(self):
         """Hasse invariant at ``relevant_places(classes)``; +1 at every other
-        place, where each entry is a unit times a square.  One pass over the
-        classes' factors lists, for 2 and each prime p of a class, the units
-        ``s/p`` of the classes ``s`` that p divides; then each place is one
-        ``_local_hasse`` call."""
-        divided = {2: []}
-        for s in self.classes:
-            for p, _ in _factor(abs(s)):
-                divided.setdefault(p, []).append(s // p)
-        hasse = {REAL: _local_hasse(self, None, ())}
-        for p in sorted(divided):
-            hasse[Place.prime(p)] = _local_hasse(self, p, divided[p])
-        return hasse
+        place, where each entry is a unit times a square."""
+        return _hasse_map(self, relevant_places(self.classes))
 
     def __str__(self):
         return "<%s>" % ", ".join(str(x) for x in self.diag)
 
 
-def _local_hasse(form, p, divided):
+def _hasse_map(form, places):
+    """``{place: Hasse invariant}`` of ``form`` over ``places``, which are
+    ``relevant_places`` of its classes: each place is one ``_local_hasse``
+    call, given at a prime p the form's units there, read in one pass over
+    the classes."""
+    classes = form.classes
+    hasse = {REAL: _local_hasse(form, None, None)}
+    for v in places[1:]:
+        p = v.p
+        divided, kept = [], []
+        for s in classes:
+            if s % p:
+                kept.append(s)
+            else:
+                divided.append(s // p)
+        hasse[v] = _local_hasse(form, p, (divided, kept))
+    return hasse
+
+
+def _local_hasse(form, p, units):
     """Product of ``(d_i, d_j)`` over ``i < j`` at the prime ``p``, or at the
-    real place for ``p = None``, given the units ``divided`` of the form's
-    classes that p divides.
+    real place for ``p = None``, given the units ``(divided, kept)`` of the
+    form's classes at p: ``s/p`` for the classes ``s`` that p divides, and
+    the other classes.
 
     By bilinearity each entry enters through its square class ``p^(a_i) u_i``
     alone, ``a_i`` 0 or 1: with ``A = sum a_i`` the pairs give ``C(A, 2)`` and
@@ -504,26 +556,35 @@ def _local_hasse(form, p, divided):
     ``(-1)^(eps(p) C(A, 2)) prod (u_i/p)^(A - a_i)`` at odd p,
     ``(-1)^(C(E, 2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)`` at
     2, and ``(-1)^C(neg, 2)`` at the real place: O(n) work, not C(n, 2).
+    The Legendre symbol and ``(-1)^omega`` are multiplicative, so each is
+    read once, off the product of the units with ``A - a_i`` odd.
     """
     if p is None:
         neg = form.signature[1]
         return -1 if neg * (neg - 1) // 2 % 2 else 1
-    kept = [s for s in form.classes if s % p]
+    divided, kept = units
     total = len(divided)
-    odd = kept if total % 2 else divided
+    odd = prod(kept if total % 2 else divided)
     if p == 2:
-        units = sum(map(_epsilon, divided)) + sum(map(_epsilon, kept))
-        e = units * (units - 1) // 2 + sum(map(_omega, odd))
-        return -1 if e % 2 else 1
-    sign = -1 if total * (total - 1) // 2 * _epsilon(p) % 2 else 1
-    return sign * _legendre(prod(odd), p)
+        # eps(u) = 1 iff u = 3 (mod 4)
+        e = len([u for u in divided + kept if u % 4 == 3])
+        return -1 if (e * (e - 1) // 2 + _omega(odd)) % 2 else 1
+    sign = -1 if total * (total - 1) // 2 % 2 and p % 4 == 3 else 1
+    # Euler's criterion
+    return sign if pow(odd % p, (p - 1) // 2, p) == 1 else -sign
+
+
+def _same_hasse(f, g):
+    """Do the Hasse maps agree, +1 off each map's places?  Maps on the same
+    places compare as dicts, which hashes no place again."""
+    return f.hasse == g.hasse or all(
+        f.hasse.get(v, 1) == g.hasse.get(v, 1) for v in f.hasse.keys() | g.hasse.keys()
+    )
 
 
 def forms_equivalent(f, g):
     """Isometry over Q, decided by the classification invariants."""
-    return (f.dim, f.disc, f.signature) == (g.dim, g.disc, g.signature) and all(
-        f.hasse.get(v, 1) == g.hasse.get(v, 1) for v in f.hasse.keys() | g.hasse.keys()
-    )
+    return (f.dim, f.disc, f.signature) == (g.dim, g.disc, g.signature) and _same_hasse(f, g)
 
 
 def is_isotropic(form):
@@ -554,16 +615,14 @@ def forms_similar(f, g):
     ``<a1, b1, -a1*b1, -a2, -b2, a2*b2>`` qualify: their entries multiply to
     minus a square, and ``(-1)^(6*5/2) = -1``.
     """
-    if f.dim != g.dim:
-        raise ValueError("forms of different dimension cannot be similar")
     n = f.dim
+    if n != g.dim:
+        raise ValueError("forms of different dimension cannot be similar")
     if n % 2 or (-1) ** (n * (n - 1) // 2) not in (f.disc, g.disc):
         raise ValueError(
             "similarity needs even dimension n and a discriminant (-1)^(n(n-1)/2)"
         )
-    if f.disc == g.disc and all(
-        f.hasse.get(v, 1) == g.hasse.get(v, 1) for v in f.hasse.keys() | g.hasse.keys()
-    ):
+    if f.disc == g.disc and _same_hasse(f, g):
         if g.signature == f.signature:
             return True, 1
         if g.signature == f.signature[::-1]:
@@ -575,7 +634,9 @@ def albert_form(q1, q2):
     """Six-dimensional form attached to a pair of quaternion classes over Q:
     ``<a1, b1, -a1*b1, -a2, -b2, a2*b2>`` with square-class-reduced entries."""
     (s, t), (u, w) = q1.classes, q2.classes
-    return RationalQuadraticForm((s, t, -_class_product(s, t), -u, -w, _class_product(u, w)))
+    return RationalQuadraticForm(
+        _SquareClasses((s, t, -_class_product(s, t), -u, -w, _class_product(u, w)))
+    )
 
 
 @dataclass(frozen=True)
@@ -605,18 +666,33 @@ def verify_quaternion_descent_instance(p, q, r, d):
     form is isotropic iff indefinite (Hasse-Minkowski).
     """
     d = _validate_quadratic_d(d)
-    p, q, r = (_as_nonzero_rational(x, label) for label, x in zip("pqr", (p, q, r)))
+    p = _as_nonzero_rational(p, "p")
+    q = _as_nonzero_rational(q, "q")
+    r = _as_nonzero_rational(r, "r")
     # every other class is a product of these, cached ahead in the quaternions
     sp, sq, sr = map(squarefree_part, (p, q, r))
     sdp = _class_product(d, sp)
-    isotropy = RationalQuadraticForm((1, -d, -sp, sq, sr, -reduce(_class_product, (sdp, sq, sr))))
+    sdpq, sdpr = _class_product(sdp, sq), _class_product(sdp, sr)
+    isotropy = RationalQuadraticForm(
+        _SquareClasses((1, -d, -sp, sq, sr, -_class_product(sdpq, sr)))
+    )
     first, second = QuaternionClass(p, d), QuaternionClass(d * p * q, d * p * r)
     first.__dict__["classes"] = sp, d
-    second.__dict__["classes"] = _class_product(sdp, sq), _class_product(sdp, sr)
+    second.__dict__["classes"] = sdpq, sdpr
     pair_form = albert_form(first, second)
+    # the classes of either form have the primes of d, p, q and r, so both
+    # Hasse maps have the isotropy form's places
+    places = list(isotropy.hasse)
+    pair_form.__dict__["hasse"] = _hasse_map(pair_form, places)
     similar, scale = forms_similar(isotropy, pair_form)
-    # (p, d) splits over Q(sqrt(d)) iff sqrt(d) lies in no completion where it ramifies
-    splits = all(not is_local_square(d, v) for v in quaternion_is_split(first)[1])
+    # (p, d) splits over Q(sqrt(d)) iff it splits at each completion that
+    # contains sqrt(d); it can ramify only at the real place, 2 and the primes
+    # of sp and d, and d is a square at none of the latter
+    splits = all(
+        hilbert_symbol(sp, d, v) == 1
+        for v in places[:2] + [v for v in places[2:] if not sp % v.p and d % v.p]
+        if is_local_square(d, v)
+    )
     isotropic = is_isotropic(pair_form)
     return DescentReport(
         isotropy_form=isotropy,

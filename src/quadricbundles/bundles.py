@@ -94,7 +94,9 @@ class FlatnessCertificate:
 
 def check_dimension(entry, n):
     """Raise ``ValueError`` when ``n`` is below the minimum of ``entry``, and
-    ``TypeError`` when it is not an integer."""
+    ``TypeError`` when it is not an integer or is a ``bool``."""
+    if isinstance(n, bool):
+        raise TypeError("the base dimension must be an integer, not %r" % (n,))
     minimum = MIN_DIMENSION[entry]
     if n < minimum:
         raise ValueError("entry %d needs base dimension >= %d, got %d" % (entry, minimum, n))

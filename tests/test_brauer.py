@@ -755,15 +755,27 @@ class TestDescentInstances:
             assert actual == expected, (p, q, r, d)
 
     def test_square_class_reductions_are_budgeted(self, monkeypatch):
-        # d is validated once, p, q and r are reduced once each, and each form
-        # reduces its six entries once; every other class is a product of these
+        # d is validated once and p, q and r are reduced once each; the forms
+        # are built on these classes and their products, reducing nothing
         calls = []
         squarefree = brauer._squarefree_int
         monkeypatch.setattr(
             brauer, "_squarefree_int", lambda n: calls.append(n) or squarefree(n)
         )
         verify_quaternion_descent_instance(3, 5, 7, 2)
-        assert len(calls) == 16
+        assert calls == [2, 3, 5, 7]
+
+    def test_class_products_are_budgeted(self, monkeypatch):
+        # d*p, d*p*q, d*p*r and d*p*q*r for the forms and the residual class,
+        # and the Albert form's a1*b1 and a2*b2; discriminants multiply the
+        # classes they hold without recording a factorization
+        calls = []
+        product = brauer._class_product
+        monkeypatch.setattr(
+            brauer, "_class_product", lambda s, t: calls.append(s * t) or product(s, t)
+        )
+        verify_quaternion_descent_instance(3, 5, 7, 2)
+        assert len(calls) == 6
 
 
 # -- the dehomogenized search oracle -----------------------------------------
@@ -786,6 +798,34 @@ def local_class_residues(p):
     return [p ** v * u % modulus for v in (0, 1) for u in units]
 
 
+_CUBE_SQUARES = {}
+
+
+def cube_search(a, b, p):
+    """The one-variable scan modulo ``p^3`` (``2^6`` at 2) that the oracle ran
+    before ``p^2`` was shown to suffice: is ``a + b*s`` or ``a*s + b`` a
+    square for some square ``s``?"""
+    modulus = 64 if p == 2 else p ** 3
+    squares = _CUBE_SQUARES.get(modulus)
+    if squares is None:
+        squares = _CUBE_SQUARES[modulus] = frozenset(
+            x * x % modulus for x in range(modulus // 2 + 1)
+        )
+    for s in squares:
+        if (a + b * s) % modulus in squares or (a * s + b) % modulus in squares:
+            return 1
+    return -1
+
+
+def seeded_class(rng, p):
+    """``p^alpha * u`` modulo ``p^3`` for a random alpha and unit u."""
+    modulus = p ** 3
+    u = rng.randrange(1, modulus)
+    while u % p == 0:
+        u = rng.randrange(1, modulus)
+    return p ** rng.randint(0, 1) * u % modulus
+
+
 class TestSearchOracle:
     def test_every_class_at_3_matches_naive_search(self):
         residues = local_class_residues(3)
@@ -800,6 +840,39 @@ class TestSearchOracle:
         for _ in range(samples):
             a, b = rng.choice(residues), rng.choice(residues)
             assert _solubility_search(a, b, p) == naive_primitive_search(a, b, p), (a, b)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_square_modulus_matches_the_cube_scan_on_every_class(self, p):
+        # each class p^alpha u with u a unit mod p, and seeded lifts mod p^3
+        rng = random.Random(80 + p)
+        units = list(range(1, p)) + [rng.randrange(p ** 3) for _ in range(2 * p)]
+        units = [u for u in units if u % p]
+        classes = [p ** alpha * u % p ** 3 for alpha in (0, 1) for u in units]
+        verdicts = set()
+        for a in classes:
+            for b in classes:
+                verdict = _solubility_search(a, b, p)
+                assert verdict == cube_search(a, b, p), (a, b)
+                verdicts.add(verdict)
+        assert verdicts == {1, -1}
+
+    def test_square_modulus_matches_the_cube_scan_up_to_the_limit(self):
+        rng = random.Random(81)
+        primes = [p for p in range(17, SEARCH_PRIME_LIMIT + 1) if all(p % d for d in range(2, p))]
+        verdicts = set()
+        for p in primes:
+            for _ in range(6):
+                a, b = seeded_class(rng, p), seeded_class(rng, p)
+                verdict = _solubility_search(a, b, p)
+                assert verdict == cube_search(a, b, p), (p, a, b)
+                verdicts.add(verdict)
+        assert verdicts == {1, -1}
+
+    def test_square_table_size(self):
+        # x^2 mod p^2 takes p(p-1)/2 unit values and 0
+        for p in range(3, SEARCH_PRIME_LIMIT + 1):
+            if all(p % d for d in range(2, p)):
+                assert len(brauer._squares_mod(brauer._search_modulus(p))) == p * (p - 1) // 2 + 1
 
     def test_formula_matches_oracle_up_to_the_limit(self):
         rng = random.Random(61)

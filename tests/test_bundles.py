@@ -186,9 +186,10 @@ class TestConstruction:
         assert b.n == 5
         assert b.coeffs[0] == parse("t1", base_table(5))
 
-    @pytest.mark.parametrize("dim", [3.0, 3.5, Fraction(3), "3"])
+    @pytest.mark.parametrize("dim", [3.0, 3.5, Fraction(3), "3", True, False])
     def test_non_integer_dimension_is_refused(self, dim):
-        # refused with a TypeError, never written as a label
+        # refused with a TypeError, never written as a label; a bool is an
+        # int, but "dim": true is no dimension
         with pytest.raises(TypeError):
             reports.normal_form_item(1, dim)
         with pytest.raises(TypeError):
