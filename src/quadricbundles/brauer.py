@@ -5,13 +5,14 @@ Only the standard library is used, and every path does bounded work.
 *Local paths.*  At a prime p a nonzero rational is ``p^v * u`` with ``u`` a
 p-adic unit, and its square class is fixed by ``v mod 2`` and the residue of
 ``u`` mod p (mod 8 at p = 2); see Serre, *A Course in Arithmetic*, Ch. II-III.
-``hilbert_symbol``, ``hilbert_symbol_search``, ``is_local_square`` and
-``relevant_places`` read each value once, with ``_class_int``, as an integer
-of the same sign and square class: an ``int`` is itself, a ``Fraction`` is
+``hilbert_symbol``, ``hilbert_symbol_search`` and ``is_local_square`` read
+each value once, with ``_class_int``, as an integer of the same sign and
+square class: an ``int`` is itself, a ``Fraction`` is
 ``numerator * denominator``.  The real place is settled by the sign of that
 integer; at a prime one division loop reads ``v mod 2`` and ``u``, never
-factoring, and the symbol formula is cached on the reduced classes.  No local
-path does ``Fraction`` arithmetic.
+factoring.  The Hilbert symbol is then ``_local_symbol``, the one closed form
+that also gives every Hasse invariant, cached on a key of small integers.
+No local path does ``Fraction`` arithmetic.
 
 *Search oracle.*  ``hilbert_symbol_search`` is an independent check of the
 formula: it reduces ``a`` and ``b`` to ``p^(v mod 2) * u`` modulo ``p^2``
@@ -275,33 +276,28 @@ def relevant_places(values):
     return [REAL, Place.prime(2), *map(Place.prime, sorted(primes))]
 
 
-def _legendre(a, p):
-    r = pow(a % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-def _epsilon(u):
-    return ((u - 1) // 2) % 2
-
-
-def _omega(u):
-    return ((u * u - 1) // 8) % 2
-
-
 @lru_cache(maxsize=None)
-def _hilbert_formula(alpha, u, beta, w, p):
-    """``(p^alpha u, p^beta w)_p`` for units u, w reduced mod p (mod 8 at 2)."""
+def _local_symbol(p, total, odd, threes):
+    """Hasse invariant ``prod_{i<j} (d_i, d_j)_p`` of a diagonal form at the
+    prime p: the one local formula, which for two entries is the Hilbert
+    symbol ``(d_1, d_2)_p``.
+
+    Write ``d_i = p^(a_i) u_i`` with ``a_i`` 0 or 1 and ``u_i`` a unit.  By
+    bilinearity, with ``A = sum a_i`` (``total``), the pairs of odd valuation
+    give ``C(A, 2)`` and ``u_i`` meets the ``A - a_i`` other entries of odd
+    valuation.  The Legendre symbol and ``(-1)^omega`` are multiplicative, so
+    each is read once, off ``odd``, the product of the units with ``A - a_i``
+    odd, reduced mod p (mod 8 at 2).  So the invariant is
+    ``(-1)^(eps(p) C(A, 2)) (odd/p)`` at odd p and
+    ``(-1)^(C(E, 2) + omega(odd))`` at 2, where ``E`` (``threes``, 0 at odd
+    p) counts the units = 3 (mod 4), those with ``eps(u) = 1``.  With two
+    entries this is Serre's formula (*A Course in Arithmetic*, Ch. III).
+    """
     if p == 2:
-        e = _epsilon(u) * _epsilon(w) + alpha * _omega(w) + beta * _omega(u)
-        return -1 if e % 2 else 1
-    result = 1
-    if alpha and beta and (p - 1) // 2 % 2:
-        result = -result
-    if beta:
-        result *= _legendre(u, p)
-    if alpha:
-        result *= _legendre(w, p)
-    return result
+        return -1 if (threes * (threes - 1) // 2 + (odd * odd - 1) // 8) % 2 else 1
+    sign = -1 if total * (total - 1) // 2 % 2 and p % 4 == 3 else 1
+    # Euler's criterion
+    return sign if pow(odd, (p - 1) // 2, p) == 1 else -sign
 
 
 def hilbert_symbol(a, b, place):
@@ -318,8 +314,10 @@ def hilbert_symbol(a, b, place):
     while b % p == 0:
         b //= p
         beta ^= 1
-    modulus = 8 if p == 2 else p
-    return _hilbert_formula(alpha, a % modulus, beta, b % modulus, p)
+    # a's unit meets beta entries of odd valuation, b's unit alpha of them
+    odd = (a if beta else 1) * (b if alpha else 1)
+    threes = (a % 4 == 3) + (b % 4 == 3) if p == 2 else 0
+    return _local_symbol(p, alpha + beta, odd % (8 if p == 2 else p), threes)
 
 
 def _search_modulus(p):
@@ -408,7 +406,8 @@ def is_local_square(x, place):
         v ^= 1
     if v:
         return False
-    return x % 8 == 1 if p == 2 else _legendre(x, p) == 1
+    # Euler's criterion at odd p
+    return x % 8 == 1 if p == 2 else pow(x % p, (p - 1) // 2, p) == 1
 
 
 # -- quaternion classes ------------------------------------------------------
@@ -526,11 +525,13 @@ class RationalQuadraticForm:
 
 def _hasse_map(form, places):
     """``{place: Hasse invariant}`` of ``form`` over ``places``, which are
-    ``relevant_places`` of its classes: each place is one ``_local_hasse``
-    call, given at a prime p the form's units there, read in one pass over
-    the classes."""
+    ``relevant_places`` of its classes.  The real place is ``(-1)^C(neg, 2)``
+    for ``neg`` negative entries, read off the signature; at each prime one
+    pass over the classes splits off the units and gives ``_local_symbol``
+    its key."""
+    neg = form.signature[1]
+    hasse = {REAL: -1 if neg * (neg - 1) // 2 % 2 else 1}
     classes = form.classes
-    hasse = {REAL: _local_hasse(form, None, None)}
     for v in places[1:]:
         p = v.p
         divided, kept = [], []
@@ -539,39 +540,11 @@ def _hasse_map(form, places):
                 kept.append(s)
             else:
                 divided.append(s // p)
-        hasse[v] = _local_hasse(form, p, (divided, kept))
+        total = len(divided)
+        odd = prod(kept if total % 2 else divided)
+        threes = len([u for u in divided + kept if u % 4 == 3]) if p == 2 else 0
+        hasse[v] = _local_symbol(p, total, odd % (8 if p == 2 else p), threes)
     return hasse
-
-
-def _local_hasse(form, p, units):
-    """Product of ``(d_i, d_j)`` over ``i < j`` at the prime ``p``, or at the
-    real place for ``p = None``, given the units ``(divided, kept)`` of the
-    form's classes at p: ``s/p`` for the classes ``s`` that p divides, and
-    the other classes.
-
-    By bilinearity each entry enters through its square class ``p^(a_i) u_i``
-    alone, ``a_i`` 0 or 1: with ``A = sum a_i`` the pairs give ``C(A, 2)`` and
-    ``u_i`` meets ``A - a_i`` other entries of odd valuation, an odd number
-    when ``a_i`` and ``A`` differ mod 2.  So the invariant is
-    ``(-1)^(eps(p) C(A, 2)) prod (u_i/p)^(A - a_i)`` at odd p,
-    ``(-1)^(C(E, 2) + sum omega(u_i) (A - a_i))`` with ``E = sum eps(u_i)`` at
-    2, and ``(-1)^C(neg, 2)`` at the real place: O(n) work, not C(n, 2).
-    The Legendre symbol and ``(-1)^omega`` are multiplicative, so each is
-    read once, off the product of the units with ``A - a_i`` odd.
-    """
-    if p is None:
-        neg = form.signature[1]
-        return -1 if neg * (neg - 1) // 2 % 2 else 1
-    divided, kept = units
-    total = len(divided)
-    odd = prod(kept if total % 2 else divided)
-    if p == 2:
-        # eps(u) = 1 iff u = 3 (mod 4)
-        e = len([u for u in divided + kept if u % 4 == 3])
-        return -1 if (e * (e - 1) // 2 + _omega(odd)) % 2 else 1
-    sign = -1 if total * (total - 1) // 2 % 2 and p % 4 == 3 else 1
-    # Euler's criterion
-    return sign if pow(odd % p, (p - 1) // 2, p) == 1 else -sign
 
 
 def _same_hasse(f, g):
@@ -630,10 +603,12 @@ def forms_similar(f, g):
     return False, None
 
 
-def albert_form(q1, q2):
-    """Six-dimensional form attached to a pair of quaternion classes over Q:
-    ``<a1, b1, -a1*b1, -a2, -b2, a2*b2>`` with square-class-reduced entries."""
-    (s, t), (u, w) = q1.classes, q2.classes
+def albert_form(first, second):
+    """Six-dimensional form attached to a pair of quaternion classes over Q,
+    given as their square classes ``first = (s, t)`` and ``second = (u, w)``,
+    signed squarefree integers (a ``QuaternionClass``'s ``classes``):
+    ``<s, t, -s*t, -u, -w, u*w>`` with the products reduced."""
+    (s, t), (u, w) = first, second
     return RationalQuadraticForm(
         _SquareClasses((s, t, -_class_product(s, t), -u, -w, _class_product(u, w)))
     )
@@ -669,17 +644,13 @@ def verify_quaternion_descent_instance(p, q, r, d):
     p = _as_nonzero_rational(p, "p")
     q = _as_nonzero_rational(q, "q")
     r = _as_nonzero_rational(r, "r")
-    # every other class is a product of these, cached ahead in the quaternions
     sp, sq, sr = map(squarefree_part, (p, q, r))
     sdp = _class_product(d, sp)
     sdpq, sdpr = _class_product(sdp, sq), _class_product(sdp, sr)
     isotropy = RationalQuadraticForm(
         _SquareClasses((1, -d, -sp, sq, sr, -_class_product(sdpq, sr)))
     )
-    first, second = QuaternionClass(p, d), QuaternionClass(d * p * q, d * p * r)
-    first.__dict__["classes"] = sp, d
-    second.__dict__["classes"] = sdpq, sdpr
-    pair_form = albert_form(first, second)
+    pair_form = albert_form((sp, d), (sdpq, sdpr))
     # the classes of either form have the primes of d, p, q and r, so both
     # Hasse maps have the isotropy form's places
     places = list(isotropy.hasse)
@@ -700,7 +671,7 @@ def verify_quaternion_descent_instance(p, q, r, d):
         similar=similar,
         scale=scale,
         splits_over_extension=splits,
-        residual_class=second,
+        residual_class=QuaternionClass(d * p * q, d * p * r),
         hypothesis_division_split=not isotropic,
         consistent=similar and isotropic,
     )

@@ -20,17 +20,26 @@ from . import biforms, brauer, bundles, reports
 
 
 def _write_json(path, payload):
+    """Write the report.  The open does not block, so a FIFO with no reader
+    fails at once (ENXIO); the write then blocks as usual."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+    os.set_blocking(fd, True)
+    with open(fd, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
-def _emit(payload, json_path, stream):
-    if json_path:
+def _emit(parser, payload, json_path):
+    """Print the report, or write it to ``json_path``; a write that fails
+    is a usage error naming the path, as ``_json_path``'s are."""
+    if not json_path:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    try:
         _write_json(json_path, payload)
-        print("report written to %s" % json_path, file=stream)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
+    except OSError as exc:
+        parser.exit(2, "%s: error: cannot write %r: %s\n" % (parser.prog, json_path, exc.strerror))
+    print("report written to %s" % json_path)
 
 
 #: Most digits an integer, numerator or denominator may have on the command
@@ -137,8 +146,8 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run one verification suite or all of them")
     run.add_argument("suite", choices=reports.SUITES + ("all",))
-    run.add_argument("--seed", type=_any_integer, default=reports.DEFAULT_SEED)
-    run.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
+    run.add_argument("--seed", type=_any_integer, default=None)
+    run.add_argument("--window", type=_window, default=None)
     run.add_argument("--entry", type=_any_integer, default=None)
     run.add_argument("--dim", type=_dim, default=None)
     run.add_argument("--json", dest="json_path", type=_json_path, default=None)
@@ -160,8 +169,13 @@ def _build_parser():
 
 
 def _validate_run(parser, args):
-    """Usage errors for ``--entry`` and ``--dim`` on suites that ignore them,
-    and for a ``--dim`` below the minimum of an entry the suite would run."""
+    """Usage errors for ``--seed``, ``--window``, ``--entry`` and ``--dim``
+    on suites that ignore them, and for a ``--dim`` below the minimum of an
+    entry the suite would run."""
+    if args.seed is not None and args.suite not in ("brauer", "all"):
+        parser.error("--seed applies to the brauer suite and to all")
+    if args.window is not None and args.suite not in ("appendix", "all"):
+        parser.error("--window applies to the appendix suite and to all")
     if args.dim is not None and args.suite != "normal-forms":
         parser.error("--dim applies to the normal-forms suite")
     entries = reports.ENTRIES.get(args.suite)
@@ -194,9 +208,11 @@ def _print_notes(report):
 
 def _run_command(parser, args):
     _validate_run(parser, args)
+    seed = reports.DEFAULT_SEED if args.seed is None else args.seed
+    window = biforms.MIN_WINDOW if args.window is None else args.window
     if args.suite == "all":
         started = time.perf_counter()
-        payload = reports.run_all(seed=args.seed, window=args.window)
+        payload = reports.run_all(seed=seed, window=window)
         elapsed = time.perf_counter() - started
         for suite in payload["suites"]:
             print("suite %-12s %s" % (suite["suite"] + ":", suite["status"]))
@@ -204,13 +220,13 @@ def _run_command(parser, args):
                 _print_notes(suite)
         print("overall: %s (%.2fs)" % (payload["status"], elapsed))
         if args.json_path:
-            _emit(payload, args.json_path, sys.stdout)
+            _emit(parser, payload, args.json_path)
         return _exit_code(payload["status"])
     started = time.perf_counter()
     payload = reports.run_suite(
         args.suite,
-        seed=args.seed,
-        window=args.window,
+        seed=seed,
+        window=window,
         entry=args.entry,
         dim=args.dim,
     )
@@ -222,7 +238,7 @@ def _run_command(parser, args):
         if "error" in item:
             print("  item error: %s" % item["error"])
     if args.json_path:
-        _emit(payload, args.json_path, sys.stdout)
+        _emit(parser, payload, args.json_path)
     return _exit_code(payload["status"])
 
 
@@ -248,7 +264,7 @@ def main(argv=None):
             "search_oracle": search,
             "agree": symbol == search,
         }
-        _emit(payload, args.json_path, sys.stdout)
+        _emit(parser, payload, args.json_path)
         return 0 if symbol == search else 1
 
     # brauer albert
@@ -275,7 +291,7 @@ def main(argv=None):
         **reports.descent_verdict(report),
         "hypothesis_division_split": report.hypothesis_division_split,
     }
-    _emit(payload, args.json_path, sys.stdout)
+    _emit(parser, payload, args.json_path)
     return 0 if report.consistent else 1
 
 

@@ -202,20 +202,73 @@ class TestSquareClasses:
         assert not is_local_square(3, Place.prime(3))
 
 
-#: The least quadratic non-residue of each odd prime the oracle covers.
-LEAST_NON_RESIDUES = {3: 2, 5: 2, 7: 3, 11: 2, 13: 2}
-
-
 def square_class_representatives(p):
     """One value of each square class of Q_p, or of R for ``p = None``:
-    ``u * p^e`` with e in {0, 1} and u over the unit square classes."""
+    ``u * p^e`` with e in {0, 1} and u over the unit square classes, at odd
+    p 1 and the least quadratic non-residue."""
     if p is None:
         return (1, -1)
-    units = (1, 3, 5, 7) if p == 2 else (1, LEAST_NON_RESIDUES[p])
+    if p == 2:
+        units = (1, 3, 5, 7)
+    else:
+        units = (1, next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1))
     return tuple(u * p**e for e in (0, 1) for u in units)
 
 
+def serre_symbol(alpha, u, beta, w, p):
+    """``(p^alpha u, p^beta w)_p`` for units u and w, by Serre's binary
+    formula (*A Course in Arithmetic*, Ch. III, Thm. 1): the test reference
+    for the closed form."""
+
+    def eps(x):
+        return (x - 1) // 2 % 2
+
+    def omega(x):
+        return (x * x - 1) // 8 % 2
+
+    def legendre(x):
+        return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+
+    if p == 2:
+        return (-1) ** (eps(u) * eps(w) + alpha * omega(w) + beta * omega(u))
+    return (-1) ** (alpha * beta * eps(p)) * legendre(u) ** beta * legendre(w) ** alpha
+
+
+def local_class(x, p):
+    """``(v, u)`` with ``x = p^v u`` for a nonzero integer ``x``."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
+#: Primes where the closed form is compared with Serre's formula: 2, three the
+#: oracle covers, and three past ``SEARCH_PRIME_LIMIT``.
+SERRE_PRIMES = (2, 3, 5, 7, 59, 10007, 10000000019)
+
+
 class TestHilbertSymbol:
+    def test_matches_serre_on_every_square_class_pair(self):
+        # 8 square classes at 2 and 4 at each odd prime, each value passed as
+        # an int and as a Fraction times a square
+        checked = 0
+        for p in SERRE_PRIMES:
+            place = Place.prime(p)
+            classes = square_class_representatives(p)
+            square = Fraction(6 * p, 35) ** 2
+            seen = set()
+            for x in classes:
+                for y in classes:
+                    expected = serre_symbol(*local_class(x, p), *local_class(y, p), p)
+                    for a in (x, Fraction(x) * square):
+                        for b in (y, y * square):
+                            assert hilbert_symbol(a, b, place) == expected, (a, b, p)
+                    seen.add(expected)
+                    checked += 1
+            assert seen == {1, -1}, p
+        assert checked == 8 * 8 + 6 * 4 * 4
+
     def test_pinned_values(self):
         assert hilbert_symbol(-1, -1, Place.prime(2)) == -1
         assert hilbert_symbol(-1, -1, REAL) == -1
@@ -610,13 +663,13 @@ class TestHasseClosedForm:
 
 class TestAlbertForms:
     def test_descent_pair_example(self):
-        form = albert_form(QuaternionClass(3, 2), QuaternionClass(30, 42))
+        form = albert_form(QuaternionClass(3, 2).classes, QuaternionClass(30, 42).classes)
         assert form.diag == tuple(
             Fraction(x) for x in (3, 2, -6, -30, -42, 35)
         )
 
     def test_split_pair(self):
-        form = albert_form(QuaternionClass(1, 1), QuaternionClass(1, 1))
+        form = albert_form((1, 1), (1, 1))
         assert form.diag == tuple(Fraction(x) for x in (1, 1, -1, -1, -1, 1))
         assert is_isotropic(form)
 
@@ -624,13 +677,13 @@ class TestAlbertForms:
         rng = random.Random(52)
         for _ in range(40):
             q = QuaternionClass(random_rational(rng), random_rational(rng))
-            assert is_isotropic(albert_form(q, q))
+            assert is_isotropic(albert_form(q.classes, q.classes))
 
     def test_clifford_consistency(self):
         # the Albert form is isotropic iff the two classes agree locally
         # everywhere except possibly on an even set where both ramify jointly;
         # cheap sanity: split pair of distinct split classes stays isotropic
-        form = albert_form(QuaternionClass(1, 3), QuaternionClass(4, 5))
+        form = albert_form(QuaternionClass(1, 3).classes, QuaternionClass(4, 5).classes)
         assert is_isotropic(form)
 
 
@@ -660,22 +713,17 @@ class TestDescentInstances:
         assert report.consistent
 
     @pytest.mark.parametrize("d", [2, -1])
-    def test_invariants_only_for_similarity(self, d, monkeypatch):
+    def test_invariants_only_for_similarity(self, d, local_symbol_calls):
         # isotropy of the six-dimensional Albert form reads its signature, so
         # only the two forms compared by forms_similar get Hasse invariants:
-        # one per form and per place of its own map, the real place, 2 and
-        # the primes of its entries' square classes
-        calls = []
-        local_hasse = brauer._local_hasse
-        monkeypatch.setattr(
-            brauer,
-            "_local_hasse",
-            lambda form, p, divided: calls.append((form, p)) or local_hasse(form, p, divided),
-        )
+        # one closed-form call per form and per finite place of its own map,
+        # 2 and the primes of its entries' square classes (the real place is
+        # read off the signature); the other calls are the splitting check's
+        # Hilbert symbols
         report = verify_quaternion_descent_instance(3, 5, 7, d)
         forms = (report.isotropy_form, report.albert_pair_form)
-        assert Counter(calls) == Counter(
-            (form, v.p) for form in forms for v in relevant_places(form.diag)
+        assert Counter(call for call in local_symbol_calls if call[0] is not None) == Counter(
+            (form, v.p) for form in forms for v in relevant_places(form.diag) if v.p
         )
 
     def test_random_instances_consistent(self):
@@ -713,7 +761,9 @@ class TestDescentInstances:
         monkeypatch.setattr(
             brauer,
             "albert_form",
-            lambda q1, q2: RationalQuadraticForm(tuple(abs(x) for x in albert(q1, q2).diag)),
+            lambda first, second: RationalQuadraticForm(
+                tuple(abs(x) for x in albert(first, second).diag)
+            ),
         )
         payload = reports.run_brauer(7)
         assert payload["status"] == "fail"
@@ -1188,7 +1238,8 @@ class TestSimilaritySolve:
 
     def test_makes_no_hilbert_symbol_calls(self):
         # the forms are new, so forms_similar builds both Hasse maps under the
-        # profile, and the formula's cache is empty, so any symbol enters it
+        # profile, and the closed form's cache is empty, so the maps enter it;
+        # no Hilbert symbol is taken
         rng = random.Random(64)
         pool = [1, -1, 2, 3, 5, 7, 6, 10, Fraction(1, 2), Fraction(3, 5)]
         pairs = descent_pairs(rng, 4) + [
@@ -1201,15 +1252,18 @@ class TestSimilaritySolve:
             if event == "call":
                 entered.add(frame.f_code)
 
-        brauer._hilbert_formula.cache_clear()
+        brauer._local_symbol.cache_clear()
         sys.setprofile(profile)
         try:
             answers = [forms_similar(f, g) for f, g in pairs]
         finally:
             sys.setprofile(None)
-        assert {forms_similar.__code__, brauer._local_hasse.__code__} <= entered
+        assert {
+            forms_similar.__code__,
+            brauer._hasse_map.__code__,
+            brauer._local_symbol.__wrapped__.__code__,
+        } <= entered
         assert brauer.hilbert_symbol.__code__ not in entered
-        assert brauer._hilbert_formula.__wrapped__.__code__ not in entered
         assert answers == [similar_by_enumeration(f, g) for f, g in pairs]
         assert {similar for similar, _ in answers} == {False, True}
 
@@ -1320,7 +1374,7 @@ def fraction_hilbert_symbol(a, b, place):
         return -1 if a < 0 and b < 0 else 1
     p = place.p
     modulus = 8 if p == 2 else p
-    return brauer._hilbert_formula(
+    return serre_symbol(
         *fraction_local_class(a, p, modulus), *fraction_local_class(b, p, modulus), p
     )
 

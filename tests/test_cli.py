@@ -1,8 +1,10 @@
 import argparse
+import errno
 import functools
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -152,11 +154,12 @@ def run_report(tmp_path, suite, *argv):
     return json.loads(path.read_text())
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "quadricbundles", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -215,6 +218,21 @@ class TestExitCodes:
         result = run_cli("run", "section5", "--dim", "5")
         assert result.returncode == 2
         assert "--dim" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("section5", "--window", "9"),
+            ("normal-forms", "--seed", "3"),
+            ("appendix", "--seed", "0"),
+            ("brauer", "--window", "4"),
+        ],
+        ids=" ".join,
+    )
+    def test_seed_and_window_only_apply_to_their_suites(self, argv, capsys):
+        # --seed 0 counts as given: both flags default to None
+        assert exit_code(["run", *argv]) == 2
+        assert "%s applies to" % argv[1] in capsys.readouterr().err
 
     def test_dim_above_the_bound_fails_fast(self):
         too_big = str(bundles.MAX_DIMENSION + 1)
@@ -453,19 +471,14 @@ class TestSingleCommands:
         assert result.returncode == 2
         assert semiprime in result.stderr
 
-    def test_brauer_albert_computes_each_hasse_invariant_once(self, monkeypatch, capsys):
-        # two forms, each at real, 2, 3, 5 and 7: the invariants table reads
-        # the values forms_similar computed
-        calls = []
-        local_hasse = brauer._local_hasse
-        monkeypatch.setattr(
-            brauer,
-            "_local_hasse",
-            lambda form, p, divided: calls.append((form, p)) or local_hasse(form, p, divided),
-        )
+    def test_brauer_albert_computes_each_hasse_invariant_once(self, local_symbol_calls, capsys):
+        # two forms, each at 2, 3, 5 and 7 (the real place is read off the
+        # signature): the invariants table reads the values forms_similar
+        # computed, one closed-form call per form and place
         assert main(["brauer", "albert", "--p", "3", "--q", "5", "--r", "7", "--d", "2"]) == 0
         capsys.readouterr()
-        assert len(calls) == len(set(calls)) == 10
+        calls = [call for call in local_symbol_calls if call[0] is not None]
+        assert len(calls) == len(set(calls)) == 8
 
     def test_rationals_outside_the_accepted_forms_fail_fast(self):
         too_long = "1" + "0" * cli.MAX_RATIONAL_DIGITS
@@ -561,6 +574,49 @@ class TestReports:
         assert "argument --json: cannot write %r" % path in result.stderr.splitlines()[-1]
         assert result.stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_json_fifo_with_no_reader_fails_at_once(self, tmp_path):
+        fifo = str(tmp_path / "report.fifo")
+        os.mkfifo(fifo)
+        started = time.perf_counter()
+        result = run_cli(*HILBERT, "--a", "2", "--b", "3", "--place", "7", "--json", fifo, timeout=10)
+        assert time.perf_counter() - started < 5.0
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "quadricbundles: error: cannot write %r: %s" % (fifo, os.strerror(errno.ENXIO))
+        ]
+
+    def test_json_fifo_with_a_reader_gets_the_report(self, tmp_path):
+        fifo = str(tmp_path / "report.fifo")
+        os.mkfifo(fifo)
+        # the report is far below the pipe's buffer, so the writer never
+        # waits for this read
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            result = run_cli(*HILBERT, "--a", "2", "--b", "3", "--place", "7", "--json", fifo, timeout=10)
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(text)["symbol"] == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_json_to_stdout_through_a_pipe(self):
+        result = run_cli(*HILBERT, "--a", "2", "--b", "3", "--place", "7", "--json", "/dev/stdout", timeout=10)
+        assert result.returncode == 0, result.stderr
+        text, done = result.stdout.rsplit("report written", 1)
+        assert done == " to /dev/stdout\n"
+        assert json.loads(text)["symbol"] == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_json_write_that_fails_is_one_line_and_exit_2(self):
+        started = time.perf_counter()
+        result = run_cli("run", "normal-forms", "--entry", "1", "--json", "/dev/full", timeout=10)
+        assert time.perf_counter() - started < 5.0
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "quadricbundles: error: cannot write '/dev/full': %s" % os.strerror(errno.ENOSPC)
+        ]
 
     def test_json_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "report.json"
