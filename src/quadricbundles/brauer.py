@@ -466,6 +466,7 @@ def res_cor_doubling_check(beta, d):
 
     ``beta = (a, b)`` over Q restricts to the same symbol over the extension;
     the projection formula corestricts it to ``(a, b^2)``, which must split.
+    So each call tests only ``(s, 1)_v = 1``, ``s`` the square class of ``a``.
     """
     cor = corestriction_projection(beta.a, (beta.b, 0), d)
     split, _ = quaternion_is_split(cor)
@@ -637,8 +638,11 @@ def verify_quaternion_descent_instance(p, q, r, d):
     ``(d*p*q, d*p*r)`` is reported.  The instance is consistent when the two
     forms are similar and the Albert form is isotropic; its anisotropy, which
     ``hypothesis_division_split`` reports, would make the pair a biquaternion
-    division algebra (Albert).  Over Q that never happens: a six-dimensional
-    form is isotropic iff indefinite (Hasse-Minkowski).
+    division algebra (Albert).  The field is always false: ``<s, t, -st>``
+    has a negative entry and ``<-u, -w, uw>`` a positive one, so every Albert
+    form is indefinite, hence isotropic (Hasse-Minkowski).  And (ii) only
+    checks that ``hilbert_symbol`` and ``is_local_square`` agree, since
+    ``(x, d)_v = 1`` wherever ``d`` is a local square.
     """
     d = _validate_quadratic_d(d)
     p = _as_nonzero_rational(p, "p")

@@ -4,6 +4,12 @@ Exit codes: 0 when every requested check passes (``attention`` outcomes
 count as passing but carry a documented note), 1 on any failed check, 2 on
 usage errors.  Reports written with ``--json`` are deterministic for a fixed
 ``--seed`` and never include timing.
+
+Each command's parser hands itself to the command's handler, so a usage
+error, a ``--json`` write that fails included, is one line ``quadricbundles
+<command>: error: ...``.  The report goes to ``--json PATH``, or to stdout
+when no path is given; the ``report written to`` line, ``run``'s summary
+under ``--json``, and errors go to stderr.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ def _write_json(path, payload):
 
 
 def _emit(parser, payload, json_path):
-    """Print the report, or write it to ``json_path``; a write that fails
-    is a usage error naming the path, as ``_json_path``'s are."""
+    """Write the report to ``json_path``, or print it if there is none; a write
+    that fails is a usage error naming the path, as ``_json_path``'s are."""
     if not json_path:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
@@ -39,7 +45,7 @@ def _emit(parser, payload, json_path):
         _write_json(json_path, payload)
     except OSError as exc:
         parser.exit(2, "%s: error: cannot write %r: %s\n" % (parser.prog, json_path, exc.strerror))
-    print("report written to %s" % json_path)
+    print("report written to %s" % json_path, file=sys.stderr)
 
 
 #: Most digits an integer, numerator or denominator may have on the command
@@ -142,9 +148,10 @@ def _build_parser():
         prog="quadricbundles",
         description="Exact verification of quadric surface bundle models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     run = sub.add_parser("run", help="run one verification suite or all of them")
+    run.set_defaults(handler=_run, parser=run)
     run.add_argument("suite", choices=reports.SUITES + ("all",))
     run.add_argument("--seed", type=_any_integer, default=None)
     run.add_argument("--window", type=_window, default=None)
@@ -153,13 +160,15 @@ def _build_parser():
     run.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
     br = sub.add_parser("brauer", help="quaternion and quadratic form reports")
-    brsub = br.add_subparsers(dest="brauer_command", required=True)
+    brsub = br.add_subparsers(required=True)
     hil = brsub.add_parser("hilbert", help="one Hilbert symbol, formula and oracle")
+    hil.set_defaults(handler=_hilbert, parser=hil)
     hil.add_argument("--a", type=_rational, required=True)
     hil.add_argument("--b", type=_rational, required=True)
     hil.add_argument("--place", type=_place, required=True)
     hil.add_argument("--json", dest="json_path", type=_json_path, default=None)
     alb = brsub.add_parser("albert", help="Albert form report for one descent instance")
+    alb.set_defaults(handler=_albert, parser=alb)
     alb.add_argument("--p", type=_rational, required=True)
     alb.add_argument("--q", type=_rational, required=True)
     alb.add_argument("--r", type=_rational, required=True)
@@ -195,114 +204,51 @@ def _validate_run(parser, args):
             parser.error(str(exc))
 
 
-def _exit_code(status):
-    return 0 if status in ("pass", "attention") else 1
-
-
-def _print_notes(report):
-    for item in report.get("items", ()):
-        note = item.get("note")
-        if note:
-            print("  note [%s]: %s" % (item.get("check", "item"), note))
-
-
-def _run_command(parser, args):
+def _run(parser, args):
+    """``run``: a status line per suite, its notes and item errors, then overall."""
     _validate_run(parser, args)
     seed = reports.DEFAULT_SEED if args.seed is None else args.seed
     window = biforms.MIN_WINDOW if args.window is None else args.window
-    if args.suite == "all":
-        started = time.perf_counter()
-        payload = reports.run_all(seed=seed, window=window)
-        elapsed = time.perf_counter() - started
-        for suite in payload["suites"]:
-            print("suite %-12s %s" % (suite["suite"] + ":", suite["status"]))
-            if suite["status"] != "pass":
-                _print_notes(suite)
-        print("overall: %s (%.2fs)" % (payload["status"], elapsed))
-        if args.json_path:
-            _emit(parser, payload, args.json_path)
-        return _exit_code(payload["status"])
     started = time.perf_counter()
-    payload = reports.run_suite(
-        args.suite,
-        seed=seed,
-        window=window,
-        entry=args.entry,
-        dim=args.dim,
-    )
+    if args.suite == "all":
+        payload = reports.run_all(seed=seed, window=window)
+    else:
+        payload = reports.run_suite(
+            args.suite, seed=seed, window=window, entry=args.entry, dim=args.dim
+        )
     elapsed = time.perf_counter() - started
-    print("suite %s: %s (%.2fs)" % (payload["suite"], payload["status"], elapsed))
-    if payload["status"] != "pass":
-        _print_notes(payload)
-    for item in payload["items"]:
-        if "error" in item:
-            print("  item error: %s" % item["error"])
+    out = sys.stderr if args.json_path else sys.stdout
+    for suite in payload.get("suites", [payload]):
+        print("suite %s: %s" % (suite["suite"], suite["status"]), file=out)
+        for item in suite["items"]:
+            if item.get("note"):
+                print("  note [%s]: %s" % (item["check"], item["note"]), file=out)
+            if "error" in item:
+                print("  item error: %s" % item["error"], file=out)
+    print("overall: %s (%.2fs)" % (payload["status"], elapsed), file=out)
     if args.json_path:
         _emit(parser, payload, args.json_path)
-    return _exit_code(payload["status"])
+    return 0 if payload["status"] in ("pass", "attention") else 1
+
+
+def _hilbert(parser, args):
+    try:
+        payload = reports.hilbert_report(args.a, args.b, args.place)
+    except ValueError as exc:
+        parser.error(str(exc))
+    _emit(parser, payload, args.json_path)
+    return 0 if payload["agree"] else 1
+
+
+def _albert(parser, args):
+    try:
+        payload = reports.albert_report(args.p, args.q, args.r, args.d)
+    except ValueError as exc:
+        parser.error(str(exc))
+    _emit(parser, payload, args.json_path)
+    return 0 if payload["consistent"] else 1
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "run":
-        return _run_command(parser, args)
-
-    if args.brauer_command == "hilbert":
-        a, b, place = args.a, args.b, args.place
-        symbol = brauer.hilbert_symbol(a, b, place)
-        try:
-            search = brauer.hilbert_symbol_search(a, b, place)
-        except ValueError as exc:
-            parser.error(str(exc))
-        payload = {
-            "a": str(a),
-            "b": str(b),
-            "place": str(place),
-            "symbol": symbol,
-            "search_oracle": search,
-            "agree": symbol == search,
-        }
-        _emit(parser, payload, args.json_path)
-        return 0 if symbol == search else 1
-
-    # brauer albert
-    p, q, r, d = args.p, args.q, args.r, args.d
-    try:
-        report = brauer.verify_quaternion_descent_instance(p, q, r, d)
-    except ValueError as exc:
-        parser.error(str(exc))
-    payload = {
-        "p": str(p),
-        "q": str(q),
-        "r": str(r),
-        "d": d,
-        "pair": [
-            [str(p), str(d)],
-            [str(report.residual_class.a), str(report.residual_class.b)],
-        ],
-        "isotropy_form": str(report.isotropy_form),
-        "albert_pair_form": str(report.albert_pair_form),
-        "invariants": {
-            "isotropy_form": _invariant_table(report.isotropy_form),
-            "albert_pair_form": _invariant_table(report.albert_pair_form),
-        },
-        **reports.descent_verdict(report),
-        "hypothesis_division_split": report.hypothesis_division_split,
-    }
-    _emit(parser, payload, args.json_path)
-    return 0 if report.consistent else 1
-
-
-def _invariant_table(form):
-    return {
-        "dim": form.dim,
-        "disc": form.disc,
-        "signature": list(form.signature),
-        "hasse": [[str(place), value] for place, value in form.hasse.items()],
-    }
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    args = _build_parser().parse_args(argv)
+    return args.handler(args.parser, args)

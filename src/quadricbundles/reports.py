@@ -275,6 +275,54 @@ def run_brauer(seed=DEFAULT_SEED):
     }
 
 
+def hilbert_report(a, b, place):
+    """Report of ``brauer hilbert``: ``(a, b)_place`` by the formula and by
+    the search oracle, which raises ``ValueError`` past its bound."""
+    symbol = brauer.hilbert_symbol(a, b, place)
+    search = brauer.hilbert_symbol_search(a, b, place)
+    return {
+        "a": str(a),
+        "b": str(b),
+        "place": str(place),
+        "symbol": symbol,
+        "search_oracle": search,
+        "agree": symbol == search,
+    }
+
+
+def _invariant_table(form):
+    return {
+        "dim": form.dim,
+        "disc": form.disc,
+        "signature": list(form.signature),
+        "hasse": [[str(place), value] for place, value in form.hasse.items()],
+    }
+
+
+def albert_report(p, q, r, d):
+    """Report of ``brauer albert``: descent instance ``(p, q, r, d)`` with
+    both forms and their invariants."""
+    report = brauer.verify_quaternion_descent_instance(p, q, r, d)
+    return {
+        "p": str(p),
+        "q": str(q),
+        "r": str(r),
+        "d": d,
+        "pair": [
+            [str(p), str(d)],
+            [str(report.residual_class.a), str(report.residual_class.b)],
+        ],
+        "isotropy_form": str(report.isotropy_form),
+        "albert_pair_form": str(report.albert_pair_form),
+        "invariants": {
+            "isotropy_form": _invariant_table(report.isotropy_form),
+            "albert_pair_form": _invariant_table(report.albert_pair_form),
+        },
+        **descent_verdict(report),
+        "hypothesis_division_split": report.hypothesis_division_split,
+    }
+
+
 # -- the biform-module computations -------------------------------------------
 
 def _witness_payload(report):

@@ -751,7 +751,8 @@ class TestDescentInstances:
         monkeypatch.setattr(brauer, "forms_similar", lambda f, g: (False, None))
         path = tmp_path / "brauer.json"
         assert main(["run", "brauer", "--seed", "7", "--json", str(path)]) == 1
-        assert "brauer: fail" in capsys.readouterr().out
+        # under --json the summary goes to stderr
+        assert "brauer: fail" in capsys.readouterr().err
         items = {item["check"]: item for item in json.loads(path.read_text())["items"]}
         assert items["quaternion-descent-instances"]["inconsistent"] == reports.DESCENT_SAMPLES
         assert not items["worked-descent-example"]["consistent"]

@@ -583,7 +583,7 @@ class TestReports:
         assert time.perf_counter() - started < 5.0
         assert result.returncode == 2
         assert result.stderr.splitlines() == [
-            "quadricbundles: error: cannot write %r: %s" % (fifo, os.strerror(errno.ENXIO))
+            "quadricbundles brauer hilbert: error: cannot write %r: %s" % (fifo, os.strerror(errno.ENXIO))
         ]
 
     def test_json_fifo_with_a_reader_gets_the_report(self, tmp_path):
@@ -604,9 +604,8 @@ class TestReports:
     def test_json_to_stdout_through_a_pipe(self):
         result = run_cli(*HILBERT, "--a", "2", "--b", "3", "--place", "7", "--json", "/dev/stdout", timeout=10)
         assert result.returncode == 0, result.stderr
-        text, done = result.stdout.rsplit("report written", 1)
-        assert done == " to /dev/stdout\n"
-        assert json.loads(text)["symbol"] == 1
+        assert json.loads(result.stdout)["symbol"] == 1
+        assert result.stderr == "report written to /dev/stdout\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_json_write_that_fails_is_one_line_and_exit_2(self):
@@ -614,9 +613,12 @@ class TestReports:
         result = run_cli("run", "normal-forms", "--entry", "1", "--json", "/dev/full", timeout=10)
         assert time.perf_counter() - started < 5.0
         assert result.returncode == 2
-        assert result.stderr.splitlines() == [
-            "quadricbundles: error: cannot write '/dev/full': %s" % os.strerror(errno.ENOSPC)
-        ]
+        assert result.stdout == ""
+        # the summary goes to stderr under --json, before the write
+        *summary, error = result.stderr.splitlines()
+        assert summary[0] == "suite normal-forms: pass"
+        assert re.fullmatch(r"overall: pass \([0-9.]+s\)", summary[1]) and len(summary) == 2
+        assert error == "quadricbundles run: error: cannot write '/dev/full': %s" % os.strerror(errno.ENOSPC)
 
     def test_json_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -634,6 +636,63 @@ class TestReports:
         # canonical order sorts terms by exponent vector, so the t-bearing
         # terms of entry 7 come before the constant-coefficient M^2 term
         assert "t1*t2*t3*K^2 - t2*L^2 - t3*N^2 + M^2" in equations
+
+
+#: Every usage error ``cli.py`` raises: the site (``None`` for argparse's
+#: own errors), the parser that must report it, the command line
+#: (``FIFO`` stands for a FIFO with no reader) and a fragment of the message.
+USAGE_ERRORS = (
+    ("integer text", "run", ["run", "brauer", "--seed", "x"], "must be an integer"),
+    ("integer low", "run", ["run", "appendix", "--window", "3"], "must be at least 4"),
+    ("integer high", "run", ["run", "normal-forms", "--dim", PAST_DIM], "must be at most"),
+    ("rational text", "brauer hilbert", [*HILBERT, "--a", "1.5", "--b", "3", "--place", "5"], "like 3 or -5/7"),
+    ("rational denominator", "brauer hilbert", [*HILBERT, "--a", "3/0", "--b", "3", "--place", "5"], "nonzero denominator"),
+    ("rational zero", "brauer hilbert", [*HILBERT, "--a", "0", "--b", "3", "--place", "5"], "must be nonzero"),
+    ("place bound", "brauer hilbert", [*HILBERT, "--a", "2", "--b", "3", "--place", SEMIPRIME], "factorization bound"),
+    ("place prime", "brauer hilbert", [*HILBERT, "--a", "2", "--b", "3", "--place", "6"], "a prime number"),
+    ("json directory", "run", ["run", "section5", "--json", MISSING_DIR_JSON], "does not exist"),
+    ("json is directory", "run", ["run", "section5", "--json", "."], "is a directory"),
+    ("json open", "run", ["run", "section5", "--json", ""], "argument --json: cannot write ''"),
+    ("seed", "run", ["run", "normal-forms", "--seed", "3"], "--seed applies to"),
+    ("window", "run", ["run", "section5", "--window", "9"], "--window applies to"),
+    ("dim suite", "run", ["run", "section5", "--dim", "5"], "--dim applies to"),
+    ("entry suite", "run", ["run", "brauer", "--entry", "2"], "--entry applies to"),
+    ("entry range", "run", ["run", "section5", "--entry", "9"], "section5 entries are 2..8"),
+    ("dim minimum", "run", ["run", "normal-forms", "--entry", "8", "--dim", "2"], "base dimension >= 3"),
+    ("hilbert oracle", "brauer hilbert", [*HILBERT, "--a", "2", "--b", "3", "--place", "59"], "search oracle"),
+    ("albert", "brauer albert", [*ALBERT, "--p", "3", "--q", "5", "--r", "7", "--d", "4"], "squarefree"),
+    ("albert", "brauer albert", [*ALBERT, "--p", SEMIPRIME, "--q", "5", "--r", "7", "--d", "2"], "factorization bound"),
+    ("json write", "run", ["run", "normal-forms", "--entry", "1", "--json", "FIFO"], "cannot write"),
+    (None, "run", ["run", "everything"], "invalid choice"),
+    (None, "brauer", ["brauer"], "required: {hilbert,albert}"),
+    (None, "", [], "required: {run,brauer}"),
+)
+
+
+class TestUsageErrors:
+    def test_the_table_has_one_site_per_error_call_in_cli(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        sites = re.findall(r"parser\.error\(|parser\.exit\(|ArgumentTypeError\(", source)
+        assert len({site for site, *_ in USAGE_ERRORS} - {None}) == len(sites)
+
+    @pytest.mark.parametrize(
+        "site, command, argv, fragment",
+        USAGE_ERRORS,
+        ids=[" ".join(argv)[:60] or "no command" for _, _, argv, _ in USAGE_ERRORS],
+    )
+    def test_usage_error_is_one_line_from_its_command(
+        self, site, command, argv, fragment, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo("report.fifo")
+        argv = ["report.fifo" if word == "FIFO" else word for word in argv]
+        assert exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == err.splitlines()[-1:]
+        prefix = " ".join(["quadricbundles", *command.split()]) + ": error: "
+        assert errors[0].startswith(prefix) and fragment in errors[0], errors[0]
 
 
 class TestDeclaredInputs:
@@ -705,5 +764,6 @@ class TestDeclaredInputs:
         monkeypatch.setattr(reports, "normal_form_item", broken)
         path = tmp_path / "report.json"
         assert main(["run", "normal-forms", "--entry", "4", "--json", str(path)]) == 1
-        assert "item error: not a usage error" in capsys.readouterr().out
+        # under --json the summary goes to stderr
+        assert "item error: not a usage error" in capsys.readouterr().err
         assert json.loads(path.read_text())["items"] == [{"entry": 4, "error": "not a usage error"}]
