@@ -15,9 +15,9 @@ the closure over the origin is too large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 
 from .linalg import (
@@ -84,33 +84,28 @@ def _exponents(monomial):
     return exps
 
 
-@dataclass(frozen=True, eq=False)
 class MonomialScaledModule:
     """Module generated by Laurent monomials times constant biforms.
 
     ``ring`` declares which of r, s, t the coefficient ring inverts; the nine
     constant forms are a basis of the biform space, so membership reduces to
     one change of basis plus a Laurent support check.  The change of basis
-    is inverted on construction, which is also the basis check.
+    is inverted on construction (``basis_inverse``, the inverse of the column
+    matrix of the forms), which is also the basis check.  A module equals only
+    itself: it keys the ``_span`` cache, which then hashes no polynomial.
     """
 
-    name: str
-    ring: VariableTable
-    gens: tuple  # ((monic monomial, constant 9-vector), ...)
-
-    def __post_init__(self):
-        if len(self.gens) != 9:
+    def __init__(self, name, ring, gens):
+        if len(gens) != 9:
             raise ValueError("expected nine generators")
+        columns = [[gens[j][1][i] for j in range(9)] for i in range(9)]
         try:
-            self.basis_inverse
+            self.basis_inverse = invert_matrix(columns)
         except SingularMatrixError:
-            raise ValueError("constant forms of %s are not a basis" % self.name) from None
-
-    @cached_property
-    def basis_inverse(self):
-        """Inverse of the column matrix of the constant forms, computed once."""
-        columns = [[self.gens[j][1][i] for j in range(9)] for i in range(9)]
-        return invert_matrix(columns)
+            raise ValueError("constant forms of %s are not a basis" % name) from None
+        self.name = name
+        self.ring = ring
+        self.gens = gens  # ((monic monomial, constant 9-vector), ...)
 
     def generator_vector(self, j):
         """Generator ``j`` as nine coordinates in the Laurent ring over r, s, t."""
@@ -196,11 +191,9 @@ def intersection_module():
     return _module("N", (), gens)
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    member: bool
-    coefficients: tuple  # one Laurent polynomial per generator
-    offending: tuple     # generator indices whose coefficient leaves the ring
+#: ``coefficients`` holds one Laurent polynomial per generator, ``offending``
+#: the indices of the generators whose coefficient leaves the ring.
+MembershipCertificate = namedtuple("MembershipCertificate", "member coefficients offending")
 
 
 def membership(vector, module):
@@ -244,10 +237,8 @@ def back_substitute(certificate, module):
     return total
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    passed: bool
-    certificates: tuple  # (generator index, module name, MembershipCertificate)
+#: ``certificates`` holds (generator index, module name, MembershipCertificate).
+ContainmentReport = namedtuple("ContainmentReport", "passed certificates")
 
 
 def verify_containment():
@@ -272,10 +263,7 @@ def verify_containment():
     return ContainmentReport(passed=passed, certificates=tuple(certificates))
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    passed: bool
-    det: LaurentPolynomial
+FreenessReport = namedtuple("FreenessReport", "passed det")
 
 
 def freeness_certificate():
@@ -344,12 +332,7 @@ def intersection_subspace(exponents):
 MIN_WINDOW = 4
 
 
-@dataclass(frozen=True)
-class GradedEqualityReport:
-    passed: bool
-    checked: int
-    mismatches: tuple
-    saturated: bool
+GradedEqualityReport = namedtuple("GradedEqualityReport", "passed checked mismatches saturated")
 
 
 def _clamp_bound(modules):
@@ -422,22 +405,11 @@ CURVE_TABLE = VariableTable(("s", "t", "alpha", "beta", "gamma"), invertible=("g
 GAMMA_EXPONENTS = (-1, -2)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """Substitution data for the witness curve.
-
-    ``r = s``, ``v = v' = 4t``, and ``t^2 = modulus`` in the function field
-    k(alpha, beta, gamma)[s, t]; ``gamma_exponent`` records which power of
-    gamma appears in the last modulus term.
-    """
-
-    gamma_exponent: int
-    r: LaurentPolynomial
-    u: LaurentPolynomial
-    v: LaurentPolynomial
-    u_prime: LaurentPolynomial
-    v_prime: LaurentPolynomial
-    modulus: LaurentPolynomial
+#: Substitution data for the witness curve: ``r = s``, ``v = v' = 4t``, and
+#: ``t^2 = modulus`` in the function field k(alpha, beta, gamma)[s, t];
+#: ``gamma_exponent`` records which power of gamma appears in the last
+#: modulus term.
+CurveSpec = namedtuple("CurveSpec", "gamma_exponent r u v u_prime v_prime modulus")
 
 
 def witness_curve(gamma_exponent):
@@ -488,14 +460,12 @@ def curve_coordinates(spec):
     return images
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    gamma_exponent: int
-    coordinate_order: tuple  # indices (x0, x3, x4, x5) used for the identities
-    identities_hold: bool
-    x0_nonzero: bool
-    residuals: tuple  # even/odd parts of x3 - alpha*x0 etc., as text
-    passed: bool
+#: ``coordinate_order`` holds the indices (x0, x3, x4, x5) used for the
+#: identities, ``residuals`` the even/odd parts of x3 - alpha*x0 etc. as text.
+WitnessReport = namedtuple(
+    "WitnessReport",
+    "gamma_exponent coordinate_order identities_hold x0_nonzero residuals passed",
+)
 
 
 def nonflatness_witness(spec):

@@ -56,7 +56,7 @@ invariant: only the sign of ``c`` acts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, log2, prod
@@ -186,24 +186,26 @@ def _prime_place(p):
     return Place(p)
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of Q: the real place (``p is None``) or a finite prime."""
 
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.p is not None:
-            p = int(self.p)
-            if p != self.p or p < 2 or _factor(p) != ((p, 1),):
-                raise ValueError("%r is not prime" % (self.p,))
-            object.__setattr__(self, "p", p)
+    def __init__(self, p=None):
+        if p is not None:
+            prime = int(p)
+            if prime != p or prime < 2 or _factor(prime) != ((prime, 1),):
+                raise ValueError("%r is not prime" % (p,))
+            p = prime
+        self.p = p
 
     #: ``Place.prime(p)``: the one shared place of the prime ``p``.
     prime = staticmethod(_prime_place)
 
+    def __eq__(self, other):
+        if type(other) is not Place:
+            return NotImplemented
+        return self.p == other.p
+
     def __hash__(self):
-        # equal places have equal p; the generated hash builds a tuple first
         return hash(self.p)
 
     def __str__(self):
@@ -423,16 +425,21 @@ def _validate_quadratic_d(d):
     return d
 
 
-@dataclass(frozen=True, init=False)
 class QuaternionClass:
-    """Brauer class over Q of the quaternion algebra ``(a, b)``."""
-
-    a: int | Fraction
-    b: int | Fraction
+    """Brauer class over Q of the quaternion algebra ``(a, b)``, equal to
+    another when ``a`` and ``b`` are."""
 
     def __init__(self, a, b):
-        object.__setattr__(self, "a", _as_nonzero_rational(a, "a"))
-        object.__setattr__(self, "b", _as_nonzero_rational(b, "b"))
+        self.a = _as_nonzero_rational(a, "a")
+        self.b = _as_nonzero_rational(b, "b")
+
+    def __eq__(self, other):
+        if type(other) is not QuaternionClass:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @cached_property
     def classes(self):
@@ -480,7 +487,6 @@ class _SquareClasses(tuple):
     class: the forms the descent builds from classes it holds."""
 
 
-@dataclass(frozen=True, init=False)
 class RationalQuadraticForm:
     """Nondegenerate diagonal quadratic form over Q.
 
@@ -490,10 +496,8 @@ class RationalQuadraticForm:
     discriminant's class, the product of the classes.  The Hasse map
     ``hasse`` is built on first use.  Raw entries are validated and reduced;
     a diagonal given as ``_SquareClasses`` is taken as its own classes, with
-    nothing reduced again.
+    nothing reduced again.  Forms are equal when their diagonals are.
     """
-
-    diag: tuple
 
     def __init__(self, diag):
         if type(diag) is _SquareClasses:
@@ -508,11 +512,19 @@ class RationalQuadraticForm:
             pos += s > 0
             # classes s and t multiply to s*t / gcd(s, t)^2
             disc = disc * s // gcd(disc, s) ** 2
-        object.__setattr__(self, "diag", entries)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "signature", (pos, len(entries) - pos))
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "dim", len(entries))
+        self.diag = entries
+        self.classes = classes
+        self.signature = (pos, len(entries) - pos)
+        self.disc = disc
+        self.dim = len(entries)
+
+    def __eq__(self, other):
+        if type(other) is not RationalQuadraticForm:
+            return NotImplemented
+        return self.diag == other.diag
+
+    def __hash__(self):
+        return hash(self.diag)
 
     @cached_property
     def hasse(self):
@@ -615,18 +627,14 @@ def albert_form(first, second):
     )
 
 
-@dataclass(frozen=True)
-class DescentReport:
-    """Outcome of one quaternion-descent instance (p, q, r, d)."""
-
-    isotropy_form: RationalQuadraticForm   # <1, -d, -p, q, r, -d*p*q*r>
-    albert_pair_form: RationalQuadraticForm
-    similar: bool
-    scale: int | None
-    splits_over_extension: bool
-    residual_class: QuaternionClass        # (d*p*q, d*p*r), the descended candidate
-    hypothesis_division_split: bool
-    consistent: bool
+#: Outcome of one quaternion-descent instance (p, q, r, d): the forms
+#: ``<1, -d, -p, q, r, -d*p*q*r>`` and the Albert form of the pair, the
+#: verdicts, and the descended candidate ``(d*p*q, d*p*r)``.
+DescentReport = namedtuple(
+    "DescentReport",
+    "isotropy_form albert_pair_form similar scale splits_over_extension"
+    " residual_class hypothesis_division_split consistent",
+)
 
 
 def verify_quaternion_descent_instance(p, q, r, d):
@@ -658,7 +666,7 @@ def verify_quaternion_descent_instance(p, q, r, d):
     # the classes of either form have the primes of d, p, q and r, so both
     # Hasse maps have the isotropy form's places
     places = list(isotropy.hasse)
-    pair_form.__dict__["hasse"] = _hasse_map(pair_form, places)
+    pair_form.hasse = _hasse_map(pair_form, places)
     similar, scale = forms_similar(isotropy, pair_form)
     # (p, d) splits over Q(sqrt(d)) iff it splits at each completion that
     # contains sqrt(d); it can ramify only at the real place, 2 and the primes

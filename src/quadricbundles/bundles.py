@@ -11,7 +11,7 @@ the Gram rank on coordinate strata.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .rings import LaurentPolynomial, VariableTable, retabulate
@@ -55,22 +55,29 @@ def equation_table(n):
     )
 
 
-@dataclass(frozen=True)
 class DiagonalQuadricBundle:
-    """A quadric surface bundle with diagonal Gram matrix over ``k[t_1..t_n]``."""
+    """A quadric surface bundle with diagonal Gram matrix over ``k[t_1..t_n]``,
+    equal to another with the same ``n`` and ``coeffs``."""
 
-    n: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != 4:
+    def __init__(self, n, coeffs):
+        if len(coeffs) != 4:
             raise ValueError("a quadric surface needs four Gram coefficients")
-        table = base_table(self.n)
-        for c in self.coeffs:
+        table = base_table(n)
+        for c in coeffs:
             if c.table != table:
-                raise ValueError("coefficients must live over k[t_1..t_%d]" % self.n)
+                raise ValueError("coefficients must live over k[t_1..t_%d]" % n)
             if c.is_zero():
                 raise ValueError("Gram coefficients must be nonzero")
+        self.n = n
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if type(other) is not DiagonalQuadricBundle:
+            return NotImplemented
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
 
     def equation(self):
         """Defining biform ``sum_j coeff_j * letter_j^2`` over the extended table."""
@@ -82,14 +89,9 @@ class DiagonalQuadricBundle:
         return total
 
 
-@dataclass(frozen=True)
-class FlatnessCertificate:
-    """Witness that the defining biform is nonzero on every fiber: a Gram
-    coefficient that is a nonzero rational constant."""
-
-    kind: str
-    index: int
-    value: object
+#: Witness that the defining biform is nonzero on every fiber: the Gram
+#: coefficient at ``index`` is the nonzero rational constant ``value``.
+FlatnessCertificate = namedtuple("FlatnessCertificate", "kind index value")
 
 
 def check_dimension(entry, n):

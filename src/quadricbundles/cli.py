@@ -7,9 +7,11 @@ usage errors.  Reports written with ``--json`` are deterministic for a fixed
 
 Each command's parser hands itself to the command's handler, so a usage
 error, a ``--json`` write that fails included, is one line ``quadricbundles
-<command>: error: ...``.  The report goes to ``--json PATH``, or to stdout
-when no path is given; the ``report written to`` line, ``run``'s summary
-under ``--json``, and errors go to stderr.
+<command>: error: ...``.  ``run`` writes its report only to ``--json
+PATH``, and prints its summary on stdout, or on stderr when a path is given;
+``brauer hilbert`` and ``brauer albert`` write theirs to the path, or to
+stdout when no path is given.  The ``report written to`` line and errors go
+to stderr.
 """
 
 from __future__ import annotations

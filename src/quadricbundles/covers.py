@@ -13,7 +13,7 @@ equivariant exists, and the map is invertible over the locus where all
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .bundles import PROJECTIVE_NAMES, equation_table, normal_form
@@ -65,18 +65,14 @@ def inverse_table(m):
     return VariableTable(names, names[:m])
 
 
-@dataclass(frozen=True)
-class CoverMap:
+class CoverMap(namedtuple("CoverMap", "entry m base_images proj_images")):
     """Coordinate map from the cover to the bundle.
 
     ``base_images`` are the images of ``t_1..t_m`` and ``proj_images`` the
     images of ``K:L:M:N``, all over the cover table.
     """
 
-    entry: int
-    m: int
-    base_images: tuple
-    proj_images: tuple
+    __slots__ = ()
 
     @property
     def table(self):
@@ -163,14 +159,9 @@ def pullback_factorization(cover):
     return monomial, residual
 
 
-@dataclass(frozen=True)
-class GeneratorSigns:
-    """Action of one involution generator: it flips ``s_index`` and rescales
-    the letters A..D by ``letter_signs``; the map rescales by ``rescale``."""
-
-    s_index: int
-    letter_signs: tuple
-    rescale: int
+#: Action of one involution generator: it flips ``s_index`` and rescales the
+#: letters A..D by ``letter_signs``; the map rescales by ``rescale``.
+GeneratorSigns = namedtuple("GeneratorSigns", "s_index letter_signs rescale")
 
 
 def infer_sign_action(cover):
@@ -235,12 +226,7 @@ def _generator_substitution(cover, gen, letter_signs):
     return act
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
-    entry: int
-    passed: bool
-    generator_factors: tuple
-    failures: tuple
+EquivarianceReport = namedtuple("EquivarianceReport", "passed generator_factors failures")
 
 
 def verify_projective_equivariance(cover, generators):
@@ -291,21 +277,16 @@ def verify_projective_equivariance(cover, generators):
                 "generator %d does not preserve the base quadric" % gen.s_index
             )
     return EquivarianceReport(
-        entry=cover.entry,
         passed=not failures,
         generator_factors=tuple(factors),
         failures=tuple(failures),
     )
 
 
-@dataclass(frozen=True)
-class GenericFiberInverse:
-    """Projective inverse over the locus where every ``s_i`` is invertible."""
-
-    entry: int
-    images: tuple        # A, B, C, D as s-monomial multiples of K, L, M, N
-    composition: tuple   # inverse applied after the map, one entry per letter
-    verified: bool
+#: Projective inverse over the locus where every ``s_i`` is invertible:
+#: ``images`` gives A, B, C, D as s-monomial multiples of K, L, M, N, and
+#: ``composition`` the inverse applied after the map, one entry per letter.
+GenericFiberInverse = namedtuple("GenericFiberInverse", "images composition verified")
 
 
 def generic_fiber_inverse(cover):
@@ -343,7 +324,6 @@ def generic_fiber_inverse(cover):
         for j in range(i + 1, 4)
     ) and any(not c.is_zero() for c in composition)
     return GenericFiberInverse(
-        entry=cover.entry,
         images=tuple(inverse_images),
         composition=composition,
         verified=verified,

@@ -325,17 +325,6 @@ def albert_report(p, q, r, d):
 
 # -- the biform-module computations -------------------------------------------
 
-def _witness_payload(report):
-    return {
-        "gamma_exponent": report.gamma_exponent,
-        "coordinate_order": list(report.coordinate_order),
-        "identities_hold": report.identities_hold,
-        "x0_nonzero": report.x0_nonzero,
-        "residuals": [list(pair) for pair in report.residuals],
-        "passed": report.passed,
-    }
-
-
 def run_appendix(window=biforms.MIN_WINDOW):
     items = []
     statuses = []
@@ -417,7 +406,7 @@ def run_appendix(window=biforms.MIN_WINDOW):
             "identities": chosen is not None,
             "x0_nonzero": bool(chosen is not None and exponent_reports[chosen].x0_nonzero),
             "exponents": {
-                str(e): _witness_payload(rep) for e, rep in exponent_reports.items()
+                str(e): rep._asdict() for e, rep in exponent_reports.items()
             },
             "note": note,
         }

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -174,6 +173,14 @@ class TestModuleData:
         gens = (m1.gens[1],) + m1.gens[1:]
         with pytest.raises(ValueError, match="not a basis"):
             MonomialScaledModule(name="degenerate", ring=m1.ring, gens=gens)
+
+    def test_modules_compare_by_identity(self):
+        # a module keys the span cache by identity, so equal data is no match
+        m1 = local_module(1)
+        twin = MonomialScaledModule(name=m1.name, ring=m1.ring, gens=m1.gens)
+        assert twin != m1 and twin == twin
+        assert hash(twin) != hash(m1)
+        assert twin.basis_inverse == m1.basis_inverse
 
     def test_change_of_basis_solves_coordinates(self):
         # coordinates of u*v*u'*v' in the constant-form basis of M3
@@ -479,7 +486,7 @@ class TestNonflatness:
     def test_corrupted_curve_fails_with_residual(self):
         spec = witness_curve(-2)
         first_term = parse("-1/16*s^4*alpha^2", CURVE_TABLE)
-        report = nonflatness_witness(replace(spec, modulus=spec.modulus - first_term))
+        report = nonflatness_witness(spec._replace(modulus=spec.modulus - first_term))
         assert not report.identities_hold
         assert any(even != "0" or odd != "0" for even, odd in report.residuals)
 

@@ -5,7 +5,6 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -794,7 +793,7 @@ class TestDescentInstances:
                 p, q, r = map(Fraction, (p, q, r))
             report = verify_quaternion_descent_instance(p, q, r, d)
             expected = reference_descent(p, q, r, d)
-            actual = {field.name: getattr(report, field.name) for field in fields(DescentReport)}
+            actual = report._asdict()
             for name in ("isotropy_form", "albert_pair_form"):
                 form = actual[name]
                 actual[name] = (
@@ -1132,8 +1131,50 @@ class TestFactorizer:
     def test_prime_places_are_interned(self):
         for p in (2, 3, 53, 99991, PRIME_20):
             assert Place.prime(p) is Place.prime(p)
-            assert Place.prime(p) == Place(p)
-            assert hash(Place.prime(p)) == hash(Place(p))
+
+    @pytest.mark.parametrize(
+        "equal,unequal",
+        [
+            pytest.param(
+                [(Place.prime(p), Place(p)) for p in (2, 3, 53, 99991, PRIME_20)]
+                + [(REAL, Place()), (Place(7), Place(Fraction(7)))],
+                [(REAL, Place(2)), (Place(2), Place(3)), (Place(2), 2)],
+                id="Place",
+            ),
+            pytest.param(
+                [
+                    (QuaternionClass(2, 3), QuaternionClass(Fraction(2), 3)),
+                    (QuaternionClass(Fraction(1, 2), -5), QuaternionClass(Fraction(2, 4), -5)),
+                ],
+                # (8, 3) has the Brauer class of (2, 3), but other entries
+                [
+                    (QuaternionClass(2, 3), QuaternionClass(3, 2)),
+                    (QuaternionClass(2, 3), QuaternionClass(8, 3)),
+                    (QuaternionClass(2, 3), (2, 3)),
+                ],
+                id="QuaternionClass",
+            ),
+            pytest.param(
+                [
+                    (RationalQuadraticForm((1, -2, 3)), RationalQuadraticForm((Fraction(1), -2, 3))),
+                    (albert_form((2, 3), (5, 7)), RationalQuadraticForm((2, 3, -6, -5, -7, 35))),
+                ],
+                [
+                    (RationalQuadraticForm((1, 2)), RationalQuadraticForm((2, 1))),
+                    (RationalQuadraticForm((1,)), RationalQuadraticForm((4,))),
+                    (RationalQuadraticForm((1,)), (1,)),
+                ],
+                id="RationalQuadraticForm",
+            ),
+        ],
+    )
+    def test_equal_values_hash_equal(self, equal, unequal):
+        # the places of a Hasse map and the keys of interned lookups rely on it
+        for a, b in equal:
+            assert a == b and b == a and hash(a) == hash(b)
+            assert {a: True}[b]
+        for a, b in unequal:
+            assert a != b and b != a
 
     def test_prime_power_past_miller_rabin_is_not_prime(self):
         # a certified prime power is composite wherever it lies; only a cofactor

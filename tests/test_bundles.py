@@ -195,6 +195,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             reports.run_normal_forms(dim=dim)
 
+    def test_equal_bundles_hash_equal(self):
+        for entry in range(1, 9):
+            built, wide = normal_form(entry), wide_normal_form(entry, MIN_DIMENSION[entry])
+            assert built is not wide and built == wide and hash(built) == hash(wide)
+            assert {built: True}[wide]
+        assert normal_form(2) != normal_form(3)
+        assert wide_normal_form(2, 1) != wide_normal_form(2, 2)
+        assert normal_form(1) != normal_form(1).coeffs
+
     def test_bad_entry(self):
         with pytest.raises(ValueError):
             normal_form(0)

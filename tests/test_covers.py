@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -152,7 +151,7 @@ class TestPullback:
     def test_mismatched_bundle_fails(self):
         # the map of entry 2 read as a map onto the bundle of entry 3
         with pytest.raises(FactorizationError):
-            pullback_factorization(replace(cover_map(2), entry=3))
+            pullback_factorization(cover_map(2)._replace(entry=3))
 
     def test_corrupted_map_fails(self):
         good = cover_map(2)
@@ -299,7 +298,7 @@ class TestSuiteStatus:
     )
     def test_a_failed_check_fails_the_suite(self, check, field, monkeypatch):
         real = getattr(covers, check)
-        monkeypatch.setattr(covers, check, lambda *args: replace(real(*args), **{field: False}))
+        monkeypatch.setattr(covers, check, lambda *args: real(*args)._replace(**{field: False}))
         report = reports.run_section5(entry=4)
         assert report["status"] == "fail"
         assert "error" not in report["items"][0]

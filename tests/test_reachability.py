@@ -58,6 +58,13 @@ ALLOWLIST = {
     "rings.LaurentPolynomial.__rsub__": "dunder: scalar minus polynomial",
     "linalg.rational_rank": "called by the benchmark's self-tests (bench/test_bench.py)",
     "brauer.forms_equivalent": "named by the benchmark's metric table (bench/tracing.py)",
+    "brauer.Place.__eq__": "dunder: equal places compare equal; suites use interned places",
+    "brauer.QuaternionClass.__eq__": "dunder: classes compare by (a, b)",
+    "brauer.QuaternionClass.__hash__": "dunder: equal classes hash equal",
+    "brauer.RationalQuadraticForm.__eq__": "dunder: forms compare by their diagonal",
+    "brauer.RationalQuadraticForm.__hash__": "dunder: equal forms hash equal",
+    "bundles.DiagonalQuadricBundle.__eq__": "dunder: bundles compare by (n, coeffs)",
+    "bundles.DiagonalQuadricBundle.__hash__": "dunder: equal bundles hash equal",
 }
 
 #: Runs ``CALLS`` (as JSON on stdin) under a profile hook and prints the
