@@ -9,7 +9,9 @@ Three modules over partial Laurent localizations of k[r, s, t] are generated
 by Laurent monomials times constant biforms; their intersection is certified
 to be the free module spanned by nine such generators over k[r, s, t], and a
 curve through the resulting projective embedding witnesses that the fiber of
-the closure over the origin is too large.
+the closure over the origin is too large.  Every check reads that shape: a
+membership certificate is one rational change of basis plus the graded rule,
+and the witness evaluates only the four printed coordinates.
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ class MonomialScaledModule:
     """Module generated by Laurent monomials times constant biforms.
 
     ``ring`` declares which of r, s, t the coefficient ring inverts; the nine
-    constant forms are a basis of the biform space, so membership reduces to
-    one change of basis plus a Laurent support check.  The change of basis
-    is inverted on construction (``basis_inverse``, the inverse of the column
-    matrix of the forms), which is also the basis check.  A module equals only
-    itself: it keys the ``_span`` cache, which then hashes no polynomial.
+    constant forms are a basis of the biform space, so membership of a
+    monomial times a form is one rational change of basis plus the graded
+    rule.  The change of basis is inverted on construction
+    (``basis_inverse``, the inverse of the column matrix of the forms), which
+    is also the basis check.  A module equals only itself: it keys the
+    ``_span`` cache, which then hashes no polynomial.
     """
 
     def __init__(self, name, ring, gens):
@@ -106,11 +109,6 @@ class MonomialScaledModule:
         self.name = name
         self.ring = ring
         self.gens = gens  # ((monic monomial, constant 9-vector), ...)
-
-    def generator_vector(self, j):
-        """Generator ``j`` as nine coordinates in the Laurent ring over r, s, t."""
-        monomial, form = self.gens[j]
-        return tuple(monomial * c for c in form)
 
 
 def _module(name, inverted, gens):
@@ -196,30 +194,23 @@ def intersection_module():
 MembershipCertificate = namedtuple("MembershipCertificate", "member coefficients offending")
 
 
-def membership(vector, module):
-    """Solve for the unique fraction-field coordinates and check supports.
+def membership(generator, module):
+    """Certificate for the generator ``mono * form`` in ``module``.
 
-    The constant forms are a basis, so ``x = sum_j c_j * mono_j * form_j`` has
-    exactly one solution with ``c_j`` Laurent polynomials; membership holds
-    iff every ``c_j`` lies in the module's coefficient ring.
+    Over the fraction field, ``mono * form = sum_j coeff_j * mono_j * form_j``
+    with ``coeff_j = c_j * mono / mono_j`` and ``c = basis_inverse * form``;
+    membership holds iff every j with ``c_j`` nonzero is allowed at ``mono``.
     """
-    inverse = module.basis_inverse
-    # coordinates of x in the module's constant-form basis, still scaled by
-    # the generator monomials
-    scaled = [
-        sum(
-            (inverse[j][i] * vector[i] for i in range(9)),
-            LaurentPolynomial.zero(RST),
-        )
-        for j in range(9)
-    ]
+    monomial, form = generator
+    exponents = _exponents(monomial)
+    allowed = _allowed_generators(module, exponents)
     coefficients = []
     offending = []
-    for j, value in enumerate(scaled):
-        monomial, _ = module.gens[j]
-        coefficient = value * monomial.inverse()
-        coefficients.append(coefficient)
-        if not all(module.ring.allows(exps) for exps in coefficient.terms):
+    for j, (row, (mono_j, _)) in enumerate(zip(module.basis_inverse, module.gens)):
+        c = sum(a * b for a, b in zip(row, form) if a and b)
+        quotient = tuple(e - me for e, me in zip(exponents, _exponents(mono_j)))
+        coefficients.append(LaurentPolynomial(RST, {quotient: c}))
+        if c and j not in allowed:
             offending.append(j)
     return MembershipCertificate(
         member=not offending,
@@ -228,13 +219,19 @@ def membership(vector, module):
     )
 
 
-def back_substitute(certificate, module):
-    """Reassemble ``sum_j c_j * gen_j`` from a membership certificate."""
-    total = (LaurentPolynomial.zero(RST),) * 9
-    for coefficient, (monomial, form) in zip(certificate.coefficients, module.gens):
-        scale = coefficient * monomial
-        total = tuple(a + scale * c for a, c in zip(total, form))
-    return total
+def _reassembles(certificate, module, generator):
+    """Is ``sum_j coeff_j * mono_j * form_j`` the generator ``mono * form``?
+    Each term of ``coeff_j`` times ``mono_j`` must be ``mono``, and ``sum_j
+    c_j * form_j`` must be ``form``: read from the forms, not the inverse."""
+    monomial, form = generator
+    exponents = _exponents(monomial)
+    total = [0] * 9
+    for coefficient, (mono_j, form_j) in zip(certificate.coefficients, module.gens):
+        for exps, c in coefficient.terms.items():
+            if tuple(a + b for a, b in zip(exps, _exponents(mono_j))) != exponents:
+                return False
+            total = [t + c * x if x else t for t, x in zip(total, form_j)]
+    return total == list(form)
 
 
 #: ``certificates`` holds (generator index, module name, MembershipCertificate).
@@ -243,23 +240,20 @@ ContainmentReport = namedtuple("ContainmentReport", "passed certificates")
 
 def verify_containment():
     """Every generator of the intersection module lies in all three local
-    modules, with every certificate re-checked by exact back-substitution."""
+    modules, with every certificate re-checked by back-substitution."""
     target = intersection_module()
     modules = [local_module(i) for i in (1, 2, 3)]
     certificates = []
-    passed = True
-    for g in range(9):
-        vector = target.generator_vector(g)
+    for g, generator in enumerate(target.gens):
         for module in modules:
-            certificate = membership(vector, module)
-            if not certificate.member:
-                passed = False
-            elif back_substitute(certificate, module) != vector:
+            certificate = membership(generator, module)
+            if not _reassembles(certificate, module, generator):
                 raise AssertionError(
                     "certificate for generator %d in %s fails back-substitution"
                     % (g, module.name)
                 )
             certificates.append((g, module.name, certificate))
+    passed = all(certificate.member for _, _, certificate in certificates)
     return ContainmentReport(passed=passed, certificates=tuple(certificates))
 
 
@@ -436,8 +430,12 @@ def witness_curve(gamma_exponent):
     )
 
 
+#: The generators the witness reads, in the printed order (x0, x3, x4, x5).
+PRINTED_ORDER = (0, 3, 4, 5)
+
+
 def curve_coordinates(spec):
-    """Images of the nine generators along the curve, reduced mod t^2 - f.
+    """Images of the printed generators, keyed by index, reduced mod t^2 - f.
 
     Generator ``mono(r, s, t) * form(u, v, u', v')`` is evaluated with
     ``r = spec.r`` and the biform letters replaced by the curve data, then
@@ -448,15 +446,17 @@ def curve_coordinates(spec):
         CURVE_TABLE,
         {"u": spec.u, "v": spec.v, "u'": spec.u_prime, "v'": spec.v_prime},
     )
-    images = []
-    for monomial, form in intersection_module().gens:
+    gens = intersection_module().gens
+    images = {}
+    for index in PRINTED_ORDER:
+        monomial, form = gens[index]
         r_power, s_power, t_power = _exponents(monomial)
         scalar = spec.r ** r_power * LaurentPolynomial.monomial(
             CURVE_TABLE, {"s": s_power, "t": t_power}
         )
         form_poly = LaurentPolynomial(BIFORM_TABLE, dict(zip(BIFORM_BASIS, form)))
         value = scalar * letters(form_poly)
-        images.append(reduce_mod_square(value, spec.modulus, "t"))
+        images[index] = reduce_mod_square(value, spec.modulus, "t")
     return images
 
 
@@ -478,10 +478,9 @@ def nonflatness_witness(spec):
     state.
     """
     images = curve_coordinates(spec)
-    order = (0, 3, 4, 5)
-    base_even, base_odd = images[order[0]]
+    base_even, base_odd = images[PRINTED_ORDER[0]]
     residuals = []
-    for index, name in zip(order[1:], ("alpha", "beta", "gamma")):
+    for index, name in zip(PRINTED_ORDER[1:], ("alpha", "beta", "gamma")):
         even, odd = images[index]
         multiplier = parse(name, CURVE_TABLE)
         residuals.append((even - multiplier * base_even, odd - multiplier * base_odd))
@@ -489,7 +488,7 @@ def nonflatness_witness(spec):
     x0_nonzero = not (base_even.is_zero() and base_odd.is_zero())
     return WitnessReport(
         gamma_exponent=spec.gamma_exponent,
-        coordinate_order=order,
+        coordinate_order=PRINTED_ORDER,
         identities_hold=holds,
         x0_nonzero=x0_nonzero,
         residuals=tuple((str(even), str(odd)) for even, odd in residuals),

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_linalg import intersect_row_spaces, naive_determinant
 
 from quadricbundles import biforms
@@ -13,9 +14,10 @@ from quadricbundles.biforms import (
     CURVE_TABLE,
     RST,
     CurveSpec,
+    GAMMA_EXPONENTS,
     GradedEqualityReport,
+    MembershipCertificate,
     MonomialScaledModule,
-    back_substitute,
     biform_coordinates,
     curve_coordinates,
     freeness_certificate,
@@ -33,6 +35,7 @@ from quadricbundles.rings import (
     LaurentPolynomial,
     RingHomomorphism,
     parse,
+    reduce_mod_square,
 )
 
 
@@ -79,6 +82,71 @@ def brute_force_graded_intersection(window):
         mismatches=tuple(mismatches),
         saturated=saturated,
     )
+
+
+# -- the polynomial oracle: each generator as nine Laurent polynomials -------
+
+def generator_vector(generator):
+    """A generator ``(mono, form)`` as nine coordinates in the Laurent ring
+    over r, s, t."""
+    monomial, form = generator
+    return tuple(monomial * c for c in form)
+
+
+def polynomial_membership(vector, module):
+    """Reference for ``membership``: solve for the unique fraction-field
+    coordinates of a vector of nine Laurent polynomials by polynomial
+    arithmetic, and check the supports of the coefficients."""
+    inverse = module.basis_inverse
+    scaled = [
+        sum(
+            (inverse[j][i] * vector[i] for i in range(9)),
+            LaurentPolynomial.zero(RST),
+        )
+        for j in range(9)
+    ]
+    coefficients = []
+    offending = []
+    for j, value in enumerate(scaled):
+        monomial, _ = module.gens[j]
+        coefficient = value * monomial.inverse()
+        coefficients.append(coefficient)
+        if not all(module.ring.allows(exps) for exps in coefficient.terms):
+            offending.append(j)
+    return MembershipCertificate(
+        member=not offending,
+        coefficients=tuple(coefficients),
+        offending=tuple(offending),
+    )
+
+
+def back_substitute(certificate, module):
+    """Reassemble ``sum_j c_j * gen_j`` from a membership certificate."""
+    total = (LaurentPolynomial.zero(RST),) * 9
+    for coefficient, (monomial, form) in zip(certificate.coefficients, module.gens):
+        scale = coefficient * monomial
+        total = tuple(a + scale * c for a, c in zip(total, form))
+    return total
+
+
+def nine_curve_images(spec):
+    """Reference for ``curve_coordinates``: the images of all nine generators
+    of the free module along the curve, reduced mod t^2 - f."""
+    letters = RingHomomorphism(
+        BIFORM_TABLE,
+        CURVE_TABLE,
+        {"u": spec.u, "v": spec.v, "u'": spec.u_prime, "v'": spec.v_prime},
+    )
+    images = []
+    for monomial, form in biforms.intersection_module().gens:
+        r_power, s_power, t_power = biforms._exponents(monomial)
+        scalar = spec.r ** r_power * LaurentPolynomial.monomial(
+            CURVE_TABLE, {"s": s_power, "t": t_power}
+        )
+        form_poly = LaurentPolynomial(BIFORM_TABLE, dict(zip(biforms.BIFORM_BASIS, form)))
+        value = scalar * letters(form_poly)
+        images.append(reduce_mod_square(value, spec.modulus, "t"))
+    return images
 
 
 def raise_first_generator(monkeypatch, factor):
@@ -192,22 +260,26 @@ class TestModuleData:
         assert coords == expected
 
 
+#: Derandomized settings for the oracle comparisons.
+ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
 class TestMembership:
     def test_x0_in_m1(self):
-        cert = membership(intersection_module().generator_vector(0), local_module(1))
+        cert = membership(intersection_module().gens[0], local_module(1))
         assert cert.member
         expected = [parse("0", RST)] * 9
         expected[4] = parse("r^2*s^2", RST)
         assert list(cert.coefficients) == expected
 
     def test_x0_in_m3(self):
-        cert = membership(intersection_module().generator_vector(0), local_module(3))
+        cert = membership(intersection_module().gens[0], local_module(3))
         assert cert.member
         assert cert.coefficients[1] == parse("1/4*s^2", RST)
         assert cert.coefficients[2] == parse("-1/4*r^2*s^2", RST)
 
     def test_x4_in_m2(self):
-        cert = membership(intersection_module().generator_vector(4), local_module(2))
+        cert = membership(intersection_module().gens[4], local_module(2))
         assert cert.member
         expected = [parse("0", RST)] * 9
         expected[5] = parse("r^2*t", RST)
@@ -215,37 +287,57 @@ class TestMembership:
         assert list(cert.coefficients) == expected
 
     def test_x2_in_m3(self):
-        cert = membership(intersection_module().generator_vector(2), local_module(3))
+        cert = membership(intersection_module().gens[2], local_module(3))
         assert cert.member
         assert cert.coefficients[2] == parse("s^2*t^2", RST)
 
     def test_negative_control(self):
-        monomial = parse("t^-1", RST)
-        vector = tuple(monomial * c for c in e(4))
-        cert = membership(vector, local_module(1))
+        generator = (parse("t^-1", RST), e(4))
+        cert = membership(generator, local_module(1))
         assert not cert.member
         assert cert.offending == (4,)
+        assert cert == polynomial_membership(generator_vector(generator), local_module(1))
 
     def test_own_generators_have_unit_certificates(self):
         for index in (1, 2, 3):
             module = local_module(index)
             for j in range(9):
-                cert = membership(module.generator_vector(j), module)
+                cert = membership(module.gens[j], module)
                 assert cert.member
                 assert cert.coefficients[j] == parse("1", RST)
                 assert all(
                     cert.coefficients[k].is_zero() for k in range(9) if k != j
                 )
-                assert back_substitute(cert, module) == module.generator_vector(j)
+                assert back_substitute(cert, module) == generator_vector(module.gens[j])
 
     def test_back_substitution(self):
         target = intersection_module()
         for module_index in (1, 2, 3):
             module = local_module(module_index)
             for g in range(9):
-                vector = target.generator_vector(g)
-                cert = membership(vector, module)
-                assert back_substitute(cert, module) == vector
+                cert = membership(target.gens[g], module)
+                assert back_substitute(cert, module) == generator_vector(target.gens[g])
+
+    def test_certificates_match_polynomial_oracle(self):
+        target = intersection_module()
+        for module in (local_module(i) for i in (1, 2, 3)):
+            for g in range(9):
+                cert = membership(target.gens[g], module)
+                oracle = polynomial_membership(generator_vector(target.gens[g]), module)
+                assert cert == oracle, (g, module.name)
+
+    @ORACLE_SETTINGS
+    @given(
+        st.tuples(*[st.integers(-2, 4)] * 3),
+        st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+    )
+    def test_random_certificates_match_polynomial_oracle(self, exponents, entries):
+        # members and non-members alike: exponents below a generator's
+        # monomial leave the ring
+        generator = (LaurentPolynomial(RST, {exponents: 1}), tuple(map(Fraction, entries)))
+        vector = generator_vector(generator)
+        for module in (local_module(i) for i in (1, 2, 3)):
+            assert membership(generator, module) == polynomial_membership(vector, module)
 
 
 class TestContainment:
@@ -254,6 +346,52 @@ class TestContainment:
         assert report.passed
         assert len(report.certificates) == 27
         assert all(cert.member for _, _, cert in report.certificates)
+
+    def test_wrong_inverse_entry_fails_back_substitution(self, monkeypatch):
+        # the forms of M1 are the standard basis, so its inverse is the
+        # identity; a wrong diagonal entry doubles x0's only coefficient
+        m1 = local_module(1)
+        broken = MonomialScaledModule(name=m1.name, ring=m1.ring, gens=m1.gens)
+        broken.basis_inverse = [list(row) for row in m1.basis_inverse]
+        broken.basis_inverse[4][4] += 1
+        original = biforms.local_module
+        monkeypatch.setattr(
+            biforms, "local_module", lambda i: broken if i == 1 else original(i)
+        )
+        with pytest.raises(AssertionError, match="generator 0 in M1 fails back-substitution"):
+            verify_containment()
+
+
+class TestWorkBudget:
+    def test_containment_multiplies_no_polynomials(self, monkeypatch):
+        for i in (1, 2, 3):
+            local_module(i)
+        intersection_module()
+        calls = []
+        multiply = LaurentPolynomial.__mul__
+
+        def spy(self, other):
+            calls.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(LaurentPolynomial, "__mul__", spy)
+        monkeypatch.setattr(LaurentPolynomial, "__rmul__", spy)
+        assert verify_containment().passed
+        assert calls == []
+
+    def test_witness_reduces_the_four_printed_images(self, monkeypatch):
+        calls = []
+        reduce = biforms.reduce_mod_square
+
+        def spy(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(biforms, "reduce_mod_square", spy)
+        for exponent in GAMMA_EXPONENTS:
+            calls.clear()
+            nonflatness_witness(witness_curve(exponent))
+            assert len(calls) == 4, exponent
 
 
 class TestFreeness:
@@ -490,16 +628,29 @@ class TestNonflatness:
         assert not report.identities_hold
         assert any(even != "0" or odd != "0" for even, odd in report.residuals)
 
+    def test_printed_images_match_nine_image_oracle(self):
+        for exponent in GAMMA_EXPONENTS:
+            spec = witness_curve(exponent)
+            images = nine_curve_images(spec)
+            assert curve_coordinates(spec) == {i: images[i] for i in (0, 3, 4, 5)}
+
     def test_permuted_images_do_not_pass(self, monkeypatch):
-        # with images 3 and 6 swapped, (0, 6, 4, 5) would satisfy the
+        # with generators 3 and 6 swapped, (0, 6, 4, 5) satisfies the
         # identities, but only the printed order (0, 3, 4, 5) may be tested
-        images = curve_coordinates(witness_curve(-2))
-        images[3], images[6] = images[6], images[3]
-        monkeypatch.setattr(biforms, "curve_coordinates", lambda spec: images)
-        report = nonflatness_witness(witness_curve(-2))
+        original = intersection_module()
+        gens = list(original.gens)
+        gens[3], gens[6] = gens[6], gens[3]
+        swapped = MonomialScaledModule(name=original.name, ring=original.ring, gens=tuple(gens))
+        monkeypatch.setattr(biforms, "intersection_module", lambda: swapped)
+        spec = witness_curve(-2)
+        report = nonflatness_witness(spec)
         assert report.coordinate_order == (0, 3, 4, 5)
         assert not report.identities_hold
         assert not report.passed
+        images = nine_curve_images(spec)
+        for index, name in zip((6, 4, 5), ("alpha", "beta", "gamma")):
+            multiplier = parse(name, CURVE_TABLE)
+            assert images[index] == tuple(multiplier * part for part in images[0])
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ValueError):
