@@ -10,7 +10,6 @@ the Gram rank on coordinate strata.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -30,11 +29,10 @@ NORMAL_FORMS = {
 }
 
 #: Smallest base dimension of each normal form: the largest index it uses.
-MIN_DIMENSION = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3}
-
-#: Largest base dimension the command line accepts; only a label, since a form
-#: is built at its minimum (a cold ``run normal-forms --dim 10000``: 0.1 s).
-MAX_DIMENSION = 10**4
+MIN_DIMENSION = {
+    entry: max((i for _, indices in gram for i in indices), default=0)
+    for entry, gram in NORMAL_FORMS.items()
+}
 
 PROJECTIVE_NAMES = ("K", "L", "M", "N")
 
@@ -92,17 +90,6 @@ class DiagonalQuadricBundle:
 #: Witness that the defining biform is nonzero on every fiber: the Gram
 #: coefficient at ``index`` is the nonzero rational constant ``value``.
 FlatnessCertificate = namedtuple("FlatnessCertificate", "kind index value")
-
-
-def check_dimension(entry, n):
-    """Raise ``ValueError`` when ``n`` is below the minimum of ``entry``, and
-    ``TypeError`` when it is not an integer or is a ``bool``."""
-    if isinstance(n, bool):
-        raise TypeError("the base dimension must be an integer, not %r" % (n,))
-    minimum = MIN_DIMENSION[entry]
-    if n < minimum:
-        raise ValueError("entry %d needs base dimension >= %d, got %d" % (entry, minimum, n))
-    operator.index(n)
 
 
 def normal_form(entry):

@@ -5,13 +5,14 @@ count as passing but carry a documented note), 1 on any failed check, 2 on
 usage errors.  Reports written with ``--json`` are deterministic for a fixed
 ``--seed`` and never include timing.
 
-Each command's parser hands itself to the command's handler, so a usage
-error, a ``--json`` write that fails included, is one line ``quadricbundles
-<command>: error: ...``.  ``run`` writes its report only to ``--json
-PATH``, and prints its summary on stdout, or on stderr when a path is given;
-``brauer hilbert`` and ``brauer albert`` write theirs to the path, or to
-stdout when no path is given.  The ``report written to`` line and errors go
-to stderr.
+Each ``run`` suite has its own parser, which declares only the flags its
+report function reads, so a flag of another suite is an unrecognized
+argument; flags come after the suite name.  Each command's parser hands
+itself to the command's handler, so a usage error, an unrecognized argument
+or a ``--json`` write that fails included, is one line ``quadricbundles
+<command>: error: ...``.  Every command writes its report to ``--json PATH``,
+or to stdout when no path is given.  The ``run`` summary, the ``report
+written to`` line and errors go to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import biforms, brauer, bundles, reports
+from . import biforms, brauer, reports
 
 
 def _write_json(path, payload):
@@ -63,9 +64,9 @@ _INTEGER = re.compile(_SIGNED_DIGITS)
 _RATIONAL = re.compile(r"%s(?:/[0-9]{1,%d})?" % (_SIGNED_DIGITS, MAX_RATIONAL_DIGITS))
 
 
-def _integer(low=None, high=None):
+def _integer(low=None):
     """argparse type: ``[+-]digits``, checked as text before any arithmetic,
-    then at least ``low`` and at most ``high`` where given."""
+    then at least ``low`` where given."""
 
     def convert(text):
         if _INTEGER.fullmatch(text) is None:
@@ -76,8 +77,6 @@ def _integer(low=None, high=None):
         value = int(text)
         if low is not None and value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError("must be at most %d, got %d" % (high, value))
         return value
 
     return convert
@@ -88,9 +87,6 @@ def _integer(low=None, high=None):
 _any_integer = _integer()
 #: ``--window``: the graded check needs the floor and is constant-time above.
 _window = _integer(biforms.MIN_WINDOW)
-#: ``--dim``: a label on the form built at its minimal dimension
-#: (``reports.normal_form_item``), so every legal value costs the same.
-_dim = _integer(0, bundles.MAX_DIMENSION)
 
 
 def _rational(text):
@@ -153,13 +149,23 @@ def _build_parser():
     sub = parser.add_subparsers(required=True)
 
     run = sub.add_parser("run", help="run one verification suite or all of them")
-    run.set_defaults(handler=_run, parser=run)
-    run.add_argument("suite", choices=reports.SUITES + ("all",))
-    run.add_argument("--seed", type=_any_integer, default=None)
-    run.add_argument("--window", type=_window, default=None)
-    run.add_argument("--entry", type=_any_integer, default=None)
-    run.add_argument("--dim", type=_dim, default=None)
-    run.add_argument("--json", dest="json_path", type=_json_path, default=None)
+    suites = run.add_subparsers(required=True)
+    for name, report, flags in (
+        ("normal-forms", reports.run_normal_forms, ("entry",)),
+        ("section5", reports.run_section5, ("entry",)),
+        ("brauer", reports.run_brauer, ("seed",)),
+        ("appendix", reports.run_appendix, ("window",)),
+        ("all", reports.run_all, ("seed", "window")),
+    ):
+        suite = suites.add_parser(name)
+        suite.set_defaults(handler=_run, parser=suite, report=report, flags=flags)
+        if "entry" in flags:
+            suite.add_argument("--entry", type=_any_integer, choices=reports.ENTRIES[name])
+        if "seed" in flags:
+            suite.add_argument("--seed", type=_any_integer, default=reports.DEFAULT_SEED)
+        if "window" in flags:
+            suite.add_argument("--window", type=_window, default=biforms.MIN_WINDOW)
+        suite.add_argument("--json", dest="json_path", type=_json_path, default=None)
 
     br = sub.add_parser("brauer", help="quaternion and quadratic form reports")
     brsub = br.add_subparsers(required=True)
@@ -179,57 +185,21 @@ def _build_parser():
     return parser
 
 
-def _validate_run(parser, args):
-    """Usage errors for ``--seed``, ``--window``, ``--entry`` and ``--dim``
-    on suites that ignore them, and for a ``--dim`` below the minimum of an
-    entry the suite would run."""
-    if args.seed is not None and args.suite not in ("brauer", "all"):
-        parser.error("--seed applies to the brauer suite and to all")
-    if args.window is not None and args.suite not in ("appendix", "all"):
-        parser.error("--window applies to the appendix suite and to all")
-    if args.dim is not None and args.suite != "normal-forms":
-        parser.error("--dim applies to the normal-forms suite")
-    entries = reports.ENTRIES.get(args.suite)
-    if args.entry is not None:
-        if entries is None:
-            parser.error("--entry applies to the normal-forms and section5 suites")
-        if args.entry not in entries:
-            parser.error(
-                "%s entries are %d..%d, got %d"
-                % (args.suite, entries[0], entries[-1], args.entry)
-            )
-        entries = [args.entry]
-    if args.dim is not None:
-        try:
-            bundles.check_dimension(max(entries, key=bundles.MIN_DIMENSION.get), args.dim)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-
 def _run(parser, args):
-    """``run``: a status line per suite, its notes and item errors, then overall."""
-    _validate_run(parser, args)
-    seed = reports.DEFAULT_SEED if args.seed is None else args.seed
-    window = biforms.MIN_WINDOW if args.window is None else args.window
+    """``run SUITE``: the report, and on stderr a status line per suite, its
+    notes and item errors, then overall."""
     started = time.perf_counter()
-    if args.suite == "all":
-        payload = reports.run_all(seed=seed, window=window)
-    else:
-        payload = reports.run_suite(
-            args.suite, seed=seed, window=window, entry=args.entry, dim=args.dim
-        )
+    payload = args.report(**{flag: getattr(args, flag) for flag in args.flags})
     elapsed = time.perf_counter() - started
-    out = sys.stderr if args.json_path else sys.stdout
     for suite in payload.get("suites", [payload]):
-        print("suite %s: %s" % (suite["suite"], suite["status"]), file=out)
+        print("suite %s: %s" % (suite["suite"], suite["status"]), file=sys.stderr)
         for item in suite["items"]:
             if item.get("note"):
-                print("  note [%s]: %s" % (item["check"], item["note"]), file=out)
+                print("  note [%s]: %s" % (item["check"], item["note"]), file=sys.stderr)
             if "error" in item:
-                print("  item error: %s" % item["error"], file=out)
-    print("overall: %s (%.2fs)" % (payload["status"], elapsed), file=out)
-    if args.json_path:
-        _emit(parser, payload, args.json_path)
+                print("  item error: %s" % item["error"], file=sys.stderr)
+    print("overall: %s (%.2fs)" % (payload["status"], elapsed), file=sys.stderr)
+    _emit(parser, payload, args.json_path)
     return 0 if payload["status"] in ("pass", "attention") else 1
 
 
@@ -252,5 +222,9 @@ def _albert(parser, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    # parse_args would report leftover arguments through the top-level
+    # parser; the parser that took them names the command
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error("unrecognized arguments: %s" % " ".join(unknown))
     return args.handler(args.parser, args)

@@ -45,19 +45,16 @@ def _variable_indices(bundle):
     return sorted(present)
 
 
-def normal_form_item(entry, dim=None):
-    """Report of normal form ``entry`` over A^dim, by default over A^m,
-    m = ``bundles.MIN_DIMENSION[entry]``.
+def normal_form_item(entry):
+    """Report of normal form ``entry`` over A^m, m = ``bundles.MIN_DIMENSION[entry]``.
 
     Base-change lemma: the coefficients use only t_1..t_m;
     ``LaurentPolynomial.__str__`` prints no zero exponent; the strata run over
     the variables that occur.  So equation, coefficients, both discriminants,
-    certificate and strata are the same at every dim >= m, and the item is
-    computed at m with ``dim`` checked and written as a label.
+    certificate and strata are the same over every A^n with n >= m, and the
+    report over A^n is this one with ``dim`` n.
     """
     bundle = bundles.normal_form(entry)
-    dim = bundle.n if dim is None else dim
-    bundles.check_dimension(entry, dim)
     certificate = bundles.flatness_certificate(bundle)
     strata = []
     indices = _variable_indices(bundle)
@@ -71,7 +68,7 @@ def normal_form_item(entry, dim=None):
             )
     return {
         "entry": entry,
-        "dim": dim,
+        "dim": bundle.n,
         "equation": str(bundle.equation()),
         "coefficients": [str(c) for c in bundle.coeffs],
         "discriminant": str(bundles.discriminant(bundle)),
@@ -99,9 +96,9 @@ def _run_entries(suite, entry, item_of, errors):
     return {"suite": suite, "status": "fail" if failures else "pass", "items": items}
 
 
-def run_normal_forms(entry=None, dim=None):
+def run_normal_forms(entry=None):
     errors = (bundles.NoUnitCoefficientError, ValueError)
-    return _run_entries("normal-forms", entry, lambda k: normal_form_item(k, dim), errors)
+    return _run_entries("normal-forms", entry, normal_form_item, errors)
 
 
 # -- cover maps ---------------------------------------------------------------
@@ -423,18 +420,6 @@ def run_appendix(window=biforms.MIN_WINDOW):
 
 # -- orchestration ------------------------------------------------------------
 
-def run_suite(name, seed=DEFAULT_SEED, window=biforms.MIN_WINDOW, entry=None, dim=None):
-    if name == "normal-forms":
-        return run_normal_forms(entry=entry, dim=dim)
-    if name == "section5":
-        return run_section5(entry=entry)
-    if name == "brauer":
-        return run_brauer(seed=seed)
-    if name == "appendix":
-        return run_appendix(window=window)
-    raise ValueError("unknown suite %r" % name)
-
-
 def aggregate_status(statuses):
     if any(s == "fail" for s in statuses):
         return "fail"
@@ -444,7 +429,7 @@ def aggregate_status(statuses):
 
 
 def run_all(seed=DEFAULT_SEED, window=biforms.MIN_WINDOW):
-    suites = [run_suite(name, seed=seed, window=window) for name in SUITES]
+    suites = [run_normal_forms(), run_section5(), run_brauer(seed), run_appendix(window)]
     return {
         "status": aggregate_status([s["status"] for s in suites]),
         "seed": seed,

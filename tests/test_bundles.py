@@ -10,7 +10,6 @@ from quadricbundles.bundles import (
     DiagonalQuadricBundle,
     base_table,
     NORMAL_FORMS,
-    check_dimension,
     discriminant,
     equation_table,
     flatness_certificate,
@@ -46,7 +45,6 @@ EXPECTED_SQUARE_CLASSES = {
 def wide_normal_form(entry, n):
     """The ``entry``-th normal form built over all of ``k[t_1..t_n]``: the
     reference for the base-change lemma of ``reports.normal_form_item``."""
-    check_dimension(entry, n)
     table = base_table(n)
     coeffs = tuple(
         LaurentPolynomial.monomial(table, {"t%d" % i: 1 for i in indices}, sign)
@@ -166,34 +164,19 @@ class TestConstruction:
         assert normal_form(entry).n == minimum
         assert reports.normal_form_item(entry)["dim"] == minimum
         if minimum > 0:
-            with pytest.raises(ValueError):
-                reports.normal_form_item(entry, minimum - 1)
-            with pytest.raises(ValueError):
+            # t_m is no variable of k[t_1..t_{m-1}]
+            with pytest.raises(KeyError):
                 wide_normal_form(entry, minimum - 1)
 
     def test_entry_4_needs_two_variables(self):
-        with pytest.raises(ValueError):
-            check_dimension(4, 1)
-        with pytest.raises(ValueError):
-            reports.normal_form_item(4, 1)
+        with pytest.raises(KeyError):
+            wide_normal_form(4, 1)
         assert normal_form(4).coeffs[0] == parse("t1*t2", base_table(2))
 
     def test_larger_base_allowed(self):
-        item = reports.normal_form_item(2, 5)
-        assert item["dim"] == 5
-        assert item["coefficients"][0] == "t1"
         b = wide_normal_form(2, 5)
         assert b.n == 5
         assert b.coeffs[0] == parse("t1", base_table(5))
-
-    @pytest.mark.parametrize("dim", [3.0, 3.5, Fraction(3), "3", True, False])
-    def test_non_integer_dimension_is_refused(self, dim):
-        # refused with a TypeError, never written as a label; a bool is an
-        # int, but "dim": true is no dimension
-        with pytest.raises(TypeError):
-            reports.normal_form_item(1, dim)
-        with pytest.raises(TypeError):
-            reports.run_normal_forms(dim=dim)
 
     def test_equal_bundles_hash_equal(self):
         for entry in range(1, 9):
@@ -212,24 +195,27 @@ class TestConstruction:
 
 
 class TestBaseChange:
-    """``normal_form_item`` builds the form at its minimal dimension m and
-    writes ``dim`` as a label; every other field must be what the bundle
-    over ``k[t_1..t_n]`` gives."""
+    """``normal_form_item`` builds the form at its minimal dimension m; the
+    report over A^n, n >= m, is that item with ``dim`` n, so every other field
+    must be what the bundle over ``k[t_1..t_n]`` gives."""
 
     @pytest.mark.parametrize("entry", sorted(NORMAL_FORMS))
     def test_minimal_dimension_is_the_largest_index(self, entry):
-        # the premise of the lemma: no coefficient uses a variable past m
-        indices = [i for _, support in NORMAL_FORMS[entry] for i in support]
-        assert MIN_DIMENSION[entry] == max(indices, default=0)
+        # the premise of the lemma: the form built at m uses t_m and no
+        # variable past it
+        bundle = normal_form(entry)
+        used = {int(name[1:]) for c in bundle.coeffs for name in c.variables()}
+        assert bundle.n == MIN_DIMENSION[entry] == max(used, default=0)
 
     @pytest.mark.parametrize("entry", sorted(NORMAL_FORMS))
     def test_item_equals_the_wide_bundle(self, entry):
         m = MIN_DIMENSION[entry]
+        item = reports.normal_form_item(entry)
         for n in [*range(m, m + 4), 100, 1000]:
-            assert reports.normal_form_item(entry, n) == wide_item(entry, n)
+            assert {**item, "dim": n} == wide_item(entry, n)
 
-    def test_item_at_the_command_line_bound(self):
-        assert reports.normal_form_item(8, 10**4) == wide_item(8, 10**4)
+    def test_item_at_ten_thousand_variables(self):
+        assert {**reports.normal_form_item(8), "dim": 10**4} == wide_item(8, 10**4)
 
 
 class TestDiscriminant:

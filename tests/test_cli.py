@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quadricbundles import biforms, brauer, bundles, cli, reports
+from quadricbundles import biforms, brauer, cli, reports
 from quadricbundles.cli import main
 
 #: Product of the 25-digit primes 10^24 + 7 and 3*10^24 + 7.
@@ -34,24 +34,29 @@ PRIMORIAL_2351 = str(
     math.prod(p for p in range(2, 2352) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 )
 
-MAX_DIM = str(bundles.MAX_DIMENSION)
-PAST_DIM = str(bundles.MAX_DIMENSION + 1)
 HILBERT = ("brauer", "hilbert")
 ALBERT = ("brauer", "albert")
 
 #: A report path in a directory that does not exist.
 MISSING_DIR_JSON = "missing/report.json"
 
-#: Every argument of every subcommand: the rest of a command line, the
-#: largest legal value and one past it (for ``--json``, a path in a missing
-#: directory).  The legal value must exit 0 or 1, the one past it 2.
+#: Every argument of every subcommand, and the suite ``run`` picks: the rest
+#: of a command line, the largest legal value and one past it (for
+#: ``--json``, a path in a missing directory).  The legal value must exit 0
+#: or 1, the one past it 2.
 BOUNDS = {
     (("run",), "suite"): ([], "all", "everything"),
-    (("run",), "--seed"): (["brauer"], LONGEST, TOO_LONG),
-    (("run",), "--window"): (["appendix"], LONGEST, TOO_LONG),
-    (("run",), "--entry"): (["section5"], "8", "9"),
-    (("run",), "--dim"): (["normal-forms"], MAX_DIM, PAST_DIM),
-    (("run",), "--json"): (["section5"], "report.json", MISSING_DIR_JSON),
+    (("run", "normal-forms"), "--entry"): ([], "8", "9"),
+    (("run", "normal-forms"), "--json"): ([], "report.json", MISSING_DIR_JSON),
+    (("run", "section5"), "--entry"): ([], "8", "9"),
+    (("run", "section5"), "--json"): ([], "report.json", MISSING_DIR_JSON),
+    (("run", "brauer"), "--seed"): ([], LONGEST, TOO_LONG),
+    (("run", "brauer"), "--json"): ([], "report.json", MISSING_DIR_JSON),
+    (("run", "appendix"), "--window"): ([], LONGEST, TOO_LONG),
+    (("run", "appendix"), "--json"): ([], "report.json", MISSING_DIR_JSON),
+    (("run", "all"), "--seed"): ([], LONGEST, TOO_LONG),
+    (("run", "all"), "--window"): ([], LONGEST, TOO_LONG),
+    (("run", "all"), "--json"): ([], "report.json", MISSING_DIR_JSON),
     (HILBERT, "--a"): (["--b", "3", "--place", "5"], "-%s/%s7" % (LONGEST, LONGEST[1:]), TOO_LONG),
     (HILBERT, "--b"): (["--a", "3", "--place", "5"], LONGEST, "1/" + TOO_LONG),
     (HILBERT, "--place"): (["--a", "2", "--b", "3"], "53", "59"),
@@ -76,9 +81,6 @@ ITEM_DIGESTS = {
     ("normal-forms", "--entry", "6"): "55c67ab1ee98d6a158e611b6fe9b5dc308b28e65cfc876e189595f9d434d918b",
     ("normal-forms", "--entry", "7"): "de318e3d5ed1d6bbc8dae5f6f9309e75ed918f797c082d1a12a4fc8bdd2a4ca0",
     ("normal-forms", "--entry", "8"): "91ff919e3b49d45782aa36b01b58b27c9b541fc3f999dc9d395b88eb927039b8",
-    ("normal-forms", "--entry", "8", "--dim", "100"): (
-        "25806cb1a1460735a46ff904debfefc23e8c98561805405fc1f4303db97b4992"
-    ),
     ("section5", "--entry", "2"): "2e10f17d41bc1a4764fad8b515239b6eadba4bdc8f41217a38427ed3c3c87d8b",
     ("section5", "--entry", "3"): "cb82c00d96324723c0206542281a2719ad0a1afb7b35ba5291af15da9ce08610",
     ("section5", "--entry", "4"): "169c7f1a24a6f768673aa3f05d7c42cf9e0800e405e2e7b6daf15ed7d8a329a5",
@@ -166,18 +168,19 @@ def run_cli(*argv, timeout=None):
 class TestExitCodes:
     def test_pass_suite(self, capsys):
         assert main(["run", "normal-forms"]) == 0
-        out = capsys.readouterr().out
-        assert "normal-forms: pass" in out
+        out, err = capsys.readouterr()
+        assert json.loads(out)["status"] == "pass"
+        assert "normal-forms: pass" in err
 
     def test_attention_suite_exits_zero(self, capsys):
         assert main(["run", "appendix"]) == 0
-        assert "attention" in capsys.readouterr().out
+        assert "appendix: attention" in capsys.readouterr().err
 
     def test_a_failed_appendix_check_outranks_the_attention_note(self, monkeypatch, capsys):
         failed = biforms.ContainmentReport(passed=False, certificates=())
         monkeypatch.setattr(biforms, "verify_containment", lambda: failed)
         assert main(["run", "appendix"]) == 1
-        assert "appendix: fail" in capsys.readouterr().out
+        assert "appendix: fail" in capsys.readouterr().err
 
     def test_forced_printed_exponent_fails(self):
         # the exponent cannot be pinned: the appendix always tests both, and
@@ -190,10 +193,27 @@ class TestExitCodes:
             assert result.returncode == 2, argv
             assert "unrecognized arguments" in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("section5", "--window", "9"),
+            ("normal-forms", "--seed", "3"),
+            ("appendix", "--seed", "0"),
+            ("brauer", "--window", "4"),
+        ],
+        ids=" ".join,
+    )
+    def test_seed_and_window_only_apply_to_their_suites(self, argv, capsys):
+        # each suite's parser declares only its own flags, so --seed 0 is
+        # refused as firmly as any other value
+        assert exit_code(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: %s" % " ".join(argv[1:]) in err
+
     def test_usage_error_on_bad_entry(self):
         result = run_cli("run", "section5", "--entry", "9")
         assert result.returncode == 2
-        assert "2..8" in result.stderr
+        assert "choose from 2, 3, 4, 5, 6, 7, 8" in result.stderr
 
     def test_usage_error_on_unknown_suite(self):
         result = run_cli("run", "everything")
@@ -213,76 +233,6 @@ class TestExitCodes:
         # single entries are run by `run <suite> --entry K` alone
         assert run_cli("run", "section5", "--entry", "1").returncode == 2
         assert run_cli("run", "normal-forms", "--entry", "9").returncode == 2
-
-    def test_dim_only_applies_to_normal_forms(self):
-        result = run_cli("run", "section5", "--dim", "5")
-        assert result.returncode == 2
-        assert "--dim" in result.stderr
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("section5", "--window", "9"),
-            ("normal-forms", "--seed", "3"),
-            ("appendix", "--seed", "0"),
-            ("brauer", "--window", "4"),
-        ],
-        ids=" ".join,
-    )
-    def test_seed_and_window_only_apply_to_their_suites(self, argv, capsys):
-        # --seed 0 counts as given: both flags default to None
-        assert exit_code(["run", *argv]) == 2
-        assert "%s applies to" % argv[1] in capsys.readouterr().err
-
-    def test_dim_above_the_bound_fails_fast(self):
-        too_big = str(bundles.MAX_DIMENSION + 1)
-        started = time.perf_counter()
-        result = run_cli("run", "normal-forms", "--entry", "8", "--dim", too_big)
-        assert time.perf_counter() - started < 1.0
-        assert result.returncode == 2
-        assert run_cli("run", "normal-forms", "--dim", too_big).returncode == 2
-
-    def test_dim_at_the_bound_runs_in_bounded_time(self, tmp_path):
-        dim = str(bundles.MAX_DIMENSION)
-        path = tmp_path / "entry.json"
-        started = time.perf_counter()
-        result = run_cli("run", "normal-forms", "--entry", "8", "--dim", dim, "--json", str(path))
-        assert time.perf_counter() - started < 1.0
-        assert result.returncode == 0
-        assert json.loads(path.read_text())["items"][0]["dim"] == bundles.MAX_DIMENSION
-        started = time.perf_counter()
-        result = run_cli("run", "normal-forms", "--dim", dim)
-        assert time.perf_counter() - started < 2.0
-        assert result.returncode == 0
-
-    def test_dim_builds_no_table_past_the_minimal_dimensions(self, monkeypatch, capsys):
-        # a work budget with no clock: --dim labels the forms built at their
-        # minimal dimensions, so no base or equation table is wider than 3
-        widths = []
-        for name in ("base_table", "equation_table"):
-            def record(n, build=getattr(bundles, name)):
-                widths.append(n)
-                return build(n)
-
-            monkeypatch.setattr(bundles, name, record)
-        assert main(["run", "normal-forms", "--dim", str(bundles.MAX_DIMENSION)]) == 0
-        capsys.readouterr()
-        assert widths and max(widths) <= 3
-        report = reports.run_suite("normal-forms", dim=10**6)
-        assert report["status"] == "pass"
-        assert [item["dim"] for item in report["items"]] == [10**6] * 8
-        assert max(widths) <= 3
-
-    def test_dim_below_the_minimum_is_a_usage_error(self):
-        for argv in (("--dim", "0"), ("--entry", "8", "--dim", "2")):
-            result = run_cli("run", "normal-forms", *argv)
-            assert result.returncode == 2
-            assert "needs base dimension >= 3" in result.stderr
-
-    def test_dim_at_the_minimum_runs(self, capsys):
-        assert main(["run", "normal-forms", "--entry", "1", "--dim", "0"]) == 0
-        assert main(["run", "normal-forms", "--dim", "3"]) == 0
-        capsys.readouterr()
 
     def test_single_entry_runs(self, capsys):
         assert main(["run", "section5", "--entry", "4"]) == 0
@@ -529,8 +479,12 @@ class TestDependencies:
 
 class TestReports:
     def test_every_suite_validates_against_schema(self):
-        for name in reports.SUITES:
-            payload = reports.run_suite(name, seed=3)
+        for payload in (
+            reports.run_normal_forms(),
+            reports.run_section5(),
+            reports.run_brauer(seed=3),
+            reports.run_appendix(),
+        ):
             jsonschema.validate(payload, reports.REPORT_SCHEMA)
 
     def test_aggregate_validates_against_schema(self):
@@ -614,11 +568,21 @@ class TestReports:
         assert time.perf_counter() - started < 5.0
         assert result.returncode == 2
         assert result.stdout == ""
-        # the summary goes to stderr under --json, before the write
+        # the summary goes to stderr, before the write
         *summary, error = result.stderr.splitlines()
         assert summary[0] == "suite normal-forms: pass"
         assert re.fullmatch(r"overall: pass \([0-9.]+s\)", summary[1]) and len(summary) == 2
-        assert error == "quadricbundles run: error: cannot write '/dev/full': %s" % os.strerror(errno.ENOSPC)
+        assert error == "quadricbundles run normal-forms: error: cannot write '/dev/full': %s" % (
+            os.strerror(errno.ENOSPC)
+        )
+
+    def test_run_without_json_prints_the_report_on_stdout(self, tmp_path):
+        path = tmp_path / "report.json"
+        written = run_cli("run", "normal-forms", "--entry", "8", "--json", str(path))
+        printed = run_cli("run", "normal-forms", "--entry", "8")
+        assert written.returncode == printed.returncode == 0
+        assert written.stdout == "" and printed.stdout == path.read_text()
+        assert printed.stderr.splitlines()[0] == "suite normal-forms: pass"
 
     def test_json_file_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -642,27 +606,26 @@ class TestReports:
 #: own errors), the parser that must report it, the command line
 #: (``FIFO`` stands for a FIFO with no reader) and a fragment of the message.
 USAGE_ERRORS = (
-    ("integer text", "run", ["run", "brauer", "--seed", "x"], "must be an integer"),
-    ("integer low", "run", ["run", "appendix", "--window", "3"], "must be at least 4"),
-    ("integer high", "run", ["run", "normal-forms", "--dim", PAST_DIM], "must be at most"),
+    ("integer text", "run brauer", ["run", "brauer", "--seed", "x"], "must be an integer"),
+    ("integer low", "run appendix", ["run", "appendix", "--window", "3"], "must be at least 4"),
     ("rational text", "brauer hilbert", [*HILBERT, "--a", "1.5", "--b", "3", "--place", "5"], "like 3 or -5/7"),
     ("rational denominator", "brauer hilbert", [*HILBERT, "--a", "3/0", "--b", "3", "--place", "5"], "nonzero denominator"),
     ("rational zero", "brauer hilbert", [*HILBERT, "--a", "0", "--b", "3", "--place", "5"], "must be nonzero"),
     ("place bound", "brauer hilbert", [*HILBERT, "--a", "2", "--b", "3", "--place", SEMIPRIME], "factorization bound"),
     ("place prime", "brauer hilbert", [*HILBERT, "--a", "2", "--b", "3", "--place", "6"], "a prime number"),
-    ("json directory", "run", ["run", "section5", "--json", MISSING_DIR_JSON], "does not exist"),
-    ("json is directory", "run", ["run", "section5", "--json", "."], "is a directory"),
-    ("json open", "run", ["run", "section5", "--json", ""], "argument --json: cannot write ''"),
-    ("seed", "run", ["run", "normal-forms", "--seed", "3"], "--seed applies to"),
-    ("window", "run", ["run", "section5", "--window", "9"], "--window applies to"),
-    ("dim suite", "run", ["run", "section5", "--dim", "5"], "--dim applies to"),
-    ("entry suite", "run", ["run", "brauer", "--entry", "2"], "--entry applies to"),
-    ("entry range", "run", ["run", "section5", "--entry", "9"], "section5 entries are 2..8"),
-    ("dim minimum", "run", ["run", "normal-forms", "--entry", "8", "--dim", "2"], "base dimension >= 3"),
+    ("json directory", "run section5", ["run", "section5", "--json", MISSING_DIR_JSON], "does not exist"),
+    ("json is directory", "run section5", ["run", "section5", "--json", "."], "is a directory"),
+    ("json open", "run section5", ["run", "section5", "--json", ""], "argument --json: cannot write ''"),
+    ("unrecognized", "run normal-forms", ["run", "normal-forms", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ("unrecognized", "run section5", ["run", "section5", "--window", "9"], "unrecognized arguments: --window 9"),
+    ("unrecognized", "run section5", ["run", "section5", "--dim", "5"], "unrecognized arguments: --dim 5"),
+    ("unrecognized", "run brauer", ["run", "brauer", "--entry", "2"], "unrecognized arguments: --entry 2"),
+    ("unrecognized", "brauer hilbert", [*HILBERT, "--a", "2", "--b", "3", "--place", "7", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (None, "run section5", ["run", "section5", "--entry", "9"], "invalid choice: 9"),
     ("hilbert oracle", "brauer hilbert", [*HILBERT, "--a", "2", "--b", "3", "--place", "59"], "search oracle"),
     ("albert", "brauer albert", [*ALBERT, "--p", "3", "--q", "5", "--r", "7", "--d", "4"], "squarefree"),
     ("albert", "brauer albert", [*ALBERT, "--p", SEMIPRIME, "--q", "5", "--r", "7", "--d", "2"], "factorization bound"),
-    ("json write", "run", ["run", "normal-forms", "--entry", "1", "--json", "FIFO"], "cannot write"),
+    ("json write", "run normal-forms", ["run", "normal-forms", "--entry", "1", "--json", "FIFO"], "cannot write"),
     (None, "run", ["run", "everything"], "invalid choice"),
     (None, "brauer", ["brauer"], "required: {hilbert,albert}"),
     (None, "", [], "required: {run,brauer}"),
@@ -709,6 +672,26 @@ class TestDeclaredInputs:
         commands.choices["hilbert"].add_argument("--dummy")
         assert untabled(parser) == {(HILBERT, "--dummy")}
 
+    def test_a_flag_of_another_suite_is_unrecognized(self, capsys):
+        declared = {}
+        for command, name in parser_flags(cli._build_parser()):
+            if command[0] == "run":
+                declared.setdefault(command[1], set()).add(name)
+        assert declared == {
+            "normal-forms": {"--entry", "--json"},
+            "section5": {"--entry", "--json"},
+            "brauer": {"--seed", "--json"},
+            "appendix": {"--window", "--json"},
+            "all": {"--seed", "--window", "--json"},
+        }
+        flags = set().union(*declared.values())
+        for suite, own in declared.items():
+            for flag in sorted(flags - own):
+                assert exit_code(["run", suite, flag, "1"]) == 2, (suite, flag)
+                err = capsys.readouterr().err.splitlines()
+                assert [line for line in err if "error:" in line] == err[-1:]
+                assert err[-1] == "quadricbundles run %s: error: unrecognized arguments: %s 1" % (suite, flag)
+
     def test_readme_names_exactly_the_parser_flags(self):
         synopsis, table = readme_flags(README.read_text(encoding="utf-8"))
         flags = parser_flags(cli._build_parser())
@@ -725,7 +708,7 @@ class TestDeclaredInputs:
         assert table - {name for _, name in flags} == {"--dummy"}
 
     def test_every_argument_has_a_shared_reader_or_choices(self):
-        readers = {cli._any_integer, cli._window, cli._dim, cli._rational, cli._place}
+        readers = {cli._any_integer, cli._window, cli._rational, cli._place}
         for command, name, action in parser_arguments(cli._build_parser()):
             if name == "--json":
                 assert action.type is cli._json_path and action.choices is None
@@ -749,7 +732,7 @@ class TestDeclaredInputs:
 
     @pytest.mark.parametrize("text", ["0_7", " 7", "7 ", "+0_7"])
     def test_integer_text_beyond_the_digits_is_a_usage_error(self, text, capsys):
-        integer_readers = {cli._any_integer, cli._window, cli._dim, cli._place}
+        integer_readers = {cli._any_integer, cli._window, cli._place}
         for command, name, action in parser_arguments(cli._build_parser()):
             if action.type in integer_readers:
                 argv = command_line((command, name), text)
@@ -758,12 +741,12 @@ class TestDeclaredInputs:
 
     def test_verify_normal_forms_passes_library_errors_through(self, monkeypatch, tmp_path, capsys):
         # a library error is no usage error: the run fails and reports it
-        def broken(entry, dim):
+        def broken(entry):
             raise ValueError("not a usage error")
 
         monkeypatch.setattr(reports, "normal_form_item", broken)
         path = tmp_path / "report.json"
         assert main(["run", "normal-forms", "--entry", "4", "--json", str(path)]) == 1
-        # under --json the summary goes to stderr
+        # the summary goes to stderr
         assert "item error: not a usage error" in capsys.readouterr().err
         assert json.loads(path.read_text())["items"] == [{"entry": 4, "error": "not a usage error"}]

@@ -27,7 +27,6 @@ PACKAGE = Path(quadricbundles.__file__).resolve().parent
 REPORT = "REPORT"
 CALLS = (
     ["run", "all", "--seed", "7", "--json", REPORT],
-    ["run", "normal-forms", "--dim", "12"],
     ["run", "section5"],
     ["run", "brauer", "--seed", "3"],
     ["run", "appendix", "--window", "5"],
